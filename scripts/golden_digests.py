@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""sha256 of the `pnc` outputs for a fixed set of small configs.
+
+A refactor that must not change any output runs this before and after
+and compares the two listings.  The cases cover every scenario for BER
+and MI, frame lengths 1000/100/37, batch counts 1-7, odd sample budgets
+(whose per-scenario rounding differs), the default seed, and the penalty
+and chain commands.  Prints one 'case sha256' line per case.
+
+    PYTHONPATH=src python scripts/golden_digests.py > digests.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from pncsync.cli import main as pnc
+
+# (case, command, scenario, offset range, grid, samples, batches, frame length)
+MONTE_CARLO = [
+    ("ber_perfect_w1", "ber", "perfect", None, "0:12:1", 20000, 1, 1000),
+    ("ber_perfect_odd_w3", "ber", "perfect", None, "2:6:0.5", 2001, 3, 1000),
+    ("ber_perfect_f37_w7", "ber", "perfect", None, "0:8:2", 10001, 7, 37),
+    ("ber_perfect_f100_w4", "ber", "perfect", None, "0:12:0.25", 10000, 4, 100),
+    ("ber_phase_w1", "ber", "phase_unsync", None, "8:14:1", 20000, 1, 1000),
+    ("ber_phase_odd_f1000", "ber", "phase_unsync", None, "8:10:1", 2001, 1, 1000),
+    ("ber_phase_f100_w4", "ber", "phase_unsync", None, "8:14:0.5", 2001, 4, 100),
+    ("ber_phase_f37_w7", "ber", "phase_unsync", None, "10:12:1", 10001, 7, 37),
+    ("ber_phase_w3", "ber", "phase_unsync", None, "11:15:0.5", 5000, 3, 1000),
+    ("ber_time02_w1", "ber", "time_unsync", "0.2", "7:9:0.25", 20000, 1, 1000),
+    ("ber_time05_odd_f1000", "ber", "time_unsync", "0.5", "3:6:0.5", 2001, 1, 1000),
+    ("ber_time05_f100_w4", "ber", "time_unsync", "0.5", "2:8:0.5", 2001, 4, 100),
+    ("ber_time05_f37_w7", "ber", "time_unsync", "0.5", "3:6:1", 10001, 7, 37),
+    ("ber_time0_w3", "ber", "time_unsync", "0", "4:8:2", 5000, 3, 1000),
+    ("ber_time_default", "ber", "time_unsync", None, "4:8:2", 4000, 1, 1000),
+    ("mi_perfect_w1", "mi", "perfect", None, "0:14:1", 3000, 1, 1000),
+    ("mi_perfect_odd_w3", "mi", "perfect", None, "0:6:0.5", 2001, 3, 1000),
+    ("mi_perfect_f100_w4", "mi", "perfect", None, "0:14:0.5", 2000, 4, 100),
+    ("mi_perfect_f37_w7", "mi", "perfect", None, "0:4:2", 10001, 7, 37),
+    ("mi_phase_w1", "mi", "phase_unsync", None, "0:14:1", 2000, 1, 1000),
+    ("mi_phase_odd_w3", "mi", "phase_unsync", None, "2:6:2", 2001, 3, 1000),
+    ("mi_phase_f100_w4", "mi", "phase_unsync", None, "0:14:1", 2000, 4, 100),
+    ("mi_phase_f37_w7", "mi", "phase_unsync", None, "0:4:2", 10001, 7, 37),
+    ("mi_time05_w1", "mi", "time_unsync", "0.5", "0:14:1", 2000, 1, 1000),
+    ("mi_time02_w1", "mi", "time_unsync", "0.2", "0:14:1", 2000, 1, 1000),
+    ("mi_time05_odd_w3", "mi", "time_unsync", "0.5", "0:6:3", 2001, 3, 1000),
+    ("mi_time05_f100_w4", "mi", "time_unsync", "0.5", "0:14:1", 1000, 4, 100),
+    ("mi_time03_f37_w7", "mi", "time_unsync", "0.3", "0:4:2", 3001, 7, 37),
+    ("mi_time0_w1", "mi", "time_unsync", "0", "2:4:2", 2000, 1, 1000),
+    ("mi_time_default", "mi", "time_unsync", None, "2:4:2", 2000, 1, 1000),
+]
+
+OTHER = {
+    "penalty_05": ["penalty"],
+    "penalty_025": ["penalty", "--rolloff", "0.25"],
+    "penalty_1": ["penalty", "--rolloff", "1.0"],
+    "chain_5": ["chain", "--nodes", "5", "--bg-time", "1", "--period", "100"],
+    "chain_9h": ["chain", "--nodes", "9", "--halved", "--errors", "0.2,0.01,0.003"],
+    "ber_seed7": ["ber", "--scenario", "phase_unsync", "--snr-grid", "6,8",
+                  "--samples", "20000", "--workers", "2", "--seed", "7"],
+    "mi_seed7": ["mi", "--scenario", "time_unsync", "--offset-range", "0.3",
+                 "--snr-grid", "4", "--samples", "5000", "--workers", "2", "--seed", "7"],
+    "ber_default_seed": ["ber", "--snr-grid", "0:3:1", "--samples", "3000"],
+}
+
+
+def cases() -> dict:
+    out = {}
+    for name, cmd, scenario, offset, grid, samples, batches, frame in MONTE_CARLO:
+        argv = [cmd, "--scenario", scenario, "--snr-grid", grid, "--samples", str(samples),
+                "--workers", str(batches), "--frame-length", str(frame), "--seed", "4242"]
+        if offset is not None:
+            argv += ["--offset-range", offset]
+        out[name] = argv
+    out.update(OTHER)
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in cases().items():
+            path = os.path.join(tmp, name + ".csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                pnc(argv + ["--out", path])
+            with open(path, "rb") as fh:
+                print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

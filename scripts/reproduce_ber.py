@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from pncsync.harness import ExperimentConfig, run_ber
+from pncsync.harness import ExperimentConfig, run_ber, scenario_label, write_ber_csv
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -32,12 +32,13 @@ def main():
     os.makedirs(RESULTS, exist_ok=True)
     grid = tuple(0.5 * i for i in range(31))  # 0..15 dB
     for scenario, offset in RUNS:
-        tag = scenario if offset is None else f"{scenario}_x{offset:g}"
-        out = os.path.join(RESULTS, f"ber_{tag}.csv")
         cfg = ExperimentConfig(command="ber", scenario=scenario, snr_grid_db=grid,
                                samples_per_point=args.bits, offset_range=offset,
-                               master_seed=args.seed, output_path=out)
+                               master_seed=args.seed)
+        tag = scenario_label(cfg)
+        out = os.path.join(RESULTS, f"ber_{tag}.csv")
         results = run_ber(cfg)
+        write_ber_csv(out, cfg, results)
         floor = min(r.ber for r in results)
         print(f"{tag:<22s} lowest ber {floor:.3e}  -> {os.path.normpath(out)}")
     return 0

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from pncsync.harness import ExperimentConfig, run_mi
+from pncsync.harness import ExperimentConfig, run_mi, scenario_label, write_mi_csv
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -31,12 +31,13 @@ def main():
     os.makedirs(RESULTS, exist_ok=True)
     grid = tuple(float(s) for s in range(0, 15))
     for scenario, offset in RUNS:
-        tag = scenario if offset is None else f"{scenario}_x{offset:g}"
-        out = os.path.join(RESULTS, f"mi_{tag}.csv")
         cfg = ExperimentConfig(command="mi", scenario=scenario, snr_grid_db=grid,
                                samples_per_point=args.samples, offset_range=offset,
-                               master_seed=args.seed, output_path=out)
+                               master_seed=args.seed)
+        tag = scenario_label(cfg)
+        out = os.path.join(RESULTS, f"mi_{tag}.csv")
         est = run_mi(cfg)
+        write_mi_csv(out, cfg, est)
         print(f"{tag:<22s} mi at {grid[-1]:.0f} dB: {est[-1].mi_bits_per_dim:.4f} "
               f"bit/dim  -> {os.path.normpath(out)}")
     return 0

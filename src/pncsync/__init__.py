@@ -3,12 +3,12 @@ network coding (PNC) on a two-way relay channel.
 
 Submodules:
     mapping      QPSK modulation and the relay's xor demap/remap
-    impairments  phase/frequency offset, raised-cosine ISI, AWGN
+    impairments  phase/frequency offset, raised-cosine ISI, per-frame synthesis
     detection    threshold and ML xor detectors at the relay
     analysis     closed-form penalty math (min distance, SIR, SINR)
-    mutual_info  Monte-Carlo mutual information of the xor symbol
+    mutual_info  Monte-Carlo mutual-information kernels of the xor symbol
     chain        N-node chain synchronization planner
-    harness      experiment configs, BER/MI runners, CSV output
+    harness      experiment configs, scenario table, BER/MI runners, CSV
 """
 
 __version__ = "0.1.0"

@@ -4,20 +4,37 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal, InvalidOperation
 
 from . import harness
 
 
 def _parse_grid(text: str) -> tuple:
-    """SNR grid as 'start:stop:step' (inclusive stop) or a comma list."""
-    if ":" in text:
-        parts = [float(v) for v in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1.0)
-        start, stop, step = parts
-        n = int(round((stop - start) / step)) + 1
-        return tuple(start + i * step for i in range(n))
-    return tuple(float(v) for v in text.split(","))
+    """SNR grid as 'start:stop[:step]' (default step 1) or a comma list.
+
+    A range holds start + i*step for every i that stays at or below stop.
+    Points are computed in decimal and rounded once, so '0:1:0.3' gives
+    0.9, not 0.8999999999999999.
+    """
+    if ":" not in text:
+        return tuple(float(v) for v in text.split(","))
+    parts = text.split(":")
+    if len(parts) == 2:
+        parts.append("1")
+    try:
+        start, stop, step = (Decimal(v) for v in parts)
+    except (InvalidOperation, ValueError):
+        raise ValueError(f"snr grid {text!r}: expected 'start:stop[:step]'") from None
+    if not (start.is_finite() and stop.is_finite() and step.is_finite()):
+        problem = "values must be finite"
+    elif step <= 0:
+        problem = "step must be positive"
+    elif stop < start:
+        problem = "stop is below start"
+    else:
+        n = int((stop - start) // step) + 1
+        return tuple(float(start + i * step) for i in range(n))
+    raise ValueError(f"snr grid {text!r}: {problem}")
 
 
 def _common(sub):

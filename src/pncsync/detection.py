@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .impairments import Observation, superpose_phase_offset
+from .impairments import superpose_phase_offset
 from .mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
 
 # class index c = 2*x_i + x_q, lexicographic in (x_i, x_q)
@@ -80,12 +80,6 @@ def threshold_bits(samples, scale: float) -> np.ndarray:
     return (np.abs(np.asarray(samples, dtype=float)) <= scale).astype(np.int8)
 
 
-def detect_threshold(obs: Observation, scale: float) -> BitPair:
-    """Threshold rule applied independently to the I and Q samples."""
-    bits = threshold_bits([obs.i_sample, obs.q_sample], scale)
-    return BitPair(int(bits[0]), int(bits[1]))
-
-
 def ml_class_scores(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
     """Per-class log-likelihood (up to a common constant) for complex samples.
 
@@ -110,8 +104,3 @@ def ml_xor_bits(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
     c = np.argmax(sc, axis=1)
     return np.stack([c >> 1, c & 1], axis=1).astype(np.int8)
 
-
-def detect_ml_xor(obs: Observation, hyp: XorHypothesisSet) -> BitPair:
-    """ML xor decision for a single observation (noise variance from obs)."""
-    bits = ml_xor_bits(obs.as_complex(), hyp, obs.noise_var)[0]
-    return BitPair(int(bits[0]), int(bits[1]))

@@ -9,9 +9,11 @@ Scenarios follow the three synchronization levels compared throughout:
                  mid-offset sampling and threshold detection at the
                  scaled level spacing
 
-Every run derives independent RNG streams from the master seed and the
-(command, scenario, point, batch) indices, and work units reduce in fixed
-order, so identical configurations produce byte-identical output files.
+Each scenario is one row of a table: its RNG stream index and its BER and
+MI batch functions.  One sweep drives both runners: it derives an
+independent RNG stream per (point, batch) from the master seed and reduces
+the batches in fixed order, so identical configurations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ import numpy as np
 
 from . import analysis, chain, mutual_info
 from .detection import build_hypotheses, ml_xor_bits, threshold_bits
-from .impairments import PulseShape, fold_phase, mid_offset_frame, raised_cosine
+from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, qpsk_pair_frame,
+                          raised_cosine, time_offset_frame)
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
-SCENARIOS = ("perfect", "phase_unsync", "time_unsync")
-
-_CMD_IDS = {"ber": 0, "mi": 1}
-_SCEN_IDS = {"perfect": 0, "phase_unsync": 1, "time_unsync": 2}
 
 TRADITIONAL_SLOTS = 4
 STRAIGHTFORWARD_NC_SLOTS = 3
@@ -64,13 +63,19 @@ class ExperimentConfig:
         grid = tuple(float(s) for s in self.snr_grid_db)
         if not grid:
             raise ValueError("snr_grid_db must be non-empty")
+        if not all(math.isfinite(s) for s in grid):
+            raise ValueError(f"snr_grid_db must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
         if self.command in ("ber", "mi") and self.samples_per_point < 1000:
             raise ValueError("samples_per_point must be >= 1000 for statistical commands")
-        if self.offset_range is not None and not 0.0 <= self.offset_range <= 0.5:
-            raise ValueError("offset_range must be in [0, 0.5]")
+        if self.offset_range is not None:
+            if self.scenario != "time_unsync":
+                raise ValueError(f"offset_range applies only to time_unsync, "
+                                 f"not {self.scenario}")
+            if not 0.0 <= self.offset_range <= 0.5:
+                raise ValueError("offset_range must be in [0, 0.5]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.frame_length < 1:
@@ -99,6 +104,21 @@ class BerResult:
             raise ValueError("num_errors cannot exceed num_bits")
         if self.ber != self.num_errors / self.num_bits:
             raise ValueError("ber must equal num_errors/num_bits exactly")
+
+
+@dataclass(frozen=True)
+class MiEstimate:
+    """One mutual-information point."""
+
+    snr_db: float
+    scenario: str
+    mi_bits_per_dim: float
+    num_samples: int
+    seed: int
+
+    def __post_init__(self):
+        if not -1e-9 <= self.mi_bits_per_dim <= 1.0 + 1e-9:
+            raise ValueError(f"mi_bits_per_dim out of [0, 1]: {self.mi_bits_per_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,100 +167,124 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# BER runner
+# Monte-Carlo batches: (cfg, snr_db, budget, rng) -> (sum, count).  Each
+# rounds its budget to whole symbols or frames its own way (2001 bits give
+# 2000 perfect/phase bits, 4000 time bits at frame 1000), and its draw order
+# is part of the RNG stream contract.
 
 
-def _point_rng(cfg: ExperimentConfig, command: str, point: int, batch: int):
-    key = (_CMD_IDS[command], _SCEN_IDS[cfg.scenario], point, batch)
-    return np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=key))
-
-
-def _ber_perfect_batch(snr_db, num_bits, rng):
-    sigma = 10.0 ** (-snr_db / 20.0)
+def _ber_perfect(cfg, snr_db, num_bits, rng):
     nsym = max(1, num_bits // 2)
-    i1, q1, i3, q3 = (rng.integers(0, 2, nsym) for _ in range(4))
-    r = ((2 * i1 - 1) + 1j * (2 * q1 - 1)) + ((2 * i3 - 1) + 1j * (2 * q3 - 1))
-    r = r + sigma * (rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
-    err = int(np.sum(threshold_bits(r.real, 1.0) != (i1 ^ i3)))
-    err += int(np.sum(threshold_bits(r.imag, 1.0) != (q1 ^ q3)))
+    r, xi, xq = qpsk_pair_frame(nsym, 0.0, 10.0 ** (-snr_db / 20.0), rng)
+    err = int(np.sum(threshold_bits(r.real, 1.0) != xi))
+    err += int(np.sum(threshold_bits(r.imag, 1.0) != xq))
     return err, 2 * nsym
 
 
-def _ber_phase_batch(snr_db, num_bits, rng, frame_len):
+def _ber_phase(cfg, snr_db, num_bits, rng):
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    sd = math.sqrt(sigma2)
-    nsym = max(1, num_bits // 2)
-    nframes = max(1, math.ceil(nsym / frame_len))
-    err = tot = 0
+    frame_len = cfg.frame_length
+    nframes = max(1, math.ceil(max(1, num_bits // 2) / frame_len))
+    err = 0
     for _ in range(nframes):
-        theta = fold_phase(float(rng.uniform(-math.pi / 4, math.pi / 4)))[0]
-        hyp = build_hypotheses(theta)
-        i1, q1, i3, q3 = (rng.integers(0, 2, frame_len) for _ in range(4))
-        r = ((2 * i1 - 1) + 1j * (2 * q1 - 1)) \
-            + ((2 * i3 - 1) + 1j * (2 * q3 - 1)) * np.exp(1j * theta)
-        r = r + sd * (rng.standard_normal(frame_len) + 1j * rng.standard_normal(frame_len))
-        bits = ml_xor_bits(r, hyp, sigma2)
-        err += int(np.sum(bits[:, 0] != (i1 ^ i3))) + int(np.sum(bits[:, 1] != (q1 ^ q3)))
-        tot += 2 * frame_len
-    return err, tot
+        theta = draw_phase_offset(rng)
+        r, xi, xq = qpsk_pair_frame(frame_len, theta, math.sqrt(sigma2), rng)
+        bits = ml_xor_bits(r, build_hypotheses(theta), sigma2)
+        err += int(np.sum(bits[:, 0] != xi)) + int(np.sum(bits[:, 1] != xq))
+    return err, 2 * nframes * frame_len
 
 
-def _ber_time_batch(snr_db, x, num_bits, rng, frame_len, pulse):
-    sigma = 10.0 ** (-snr_db / 20.0)
-    sd_half = sigma / 2.0  # half-amplitude sampling convention
-    L = pulse.truncation_symbols
+def _ber_time(cfg, snr_db, num_bits, rng):
+    sd_half = 10.0 ** (-snr_db / 20.0) / 2.0  # half-amplitude sampling convention
+    pulse = cfg.pulse()
+    frame_len = cfg.frame_length
     nframes = max(1, math.ceil(num_bits / (2 * frame_len)))
-    err = tot = 0
+    err = 0
     for _ in range(nframes):
-        dt = float(rng.uniform(-x, x)) if x > 0 else 0.0
+        dt = draw_time_offset(cfg.effective_offset_range(), rng)
         scale = 0.5 * raised_cosine(dt / 2, 1.0, pulse.rolloff)
         for _dim in range(2):  # independent I and Q streams, same offset
-            a1 = rng.integers(0, 2, frame_len + 2 * L) * 2 - 1
-            a3 = rng.integers(0, 2, frame_len + 2 * L) * 2 - 1
-            r = mid_offset_frame(a1, a3, dt, pulse)[L:L + frame_len]
-            r = r + sd_half * rng.standard_normal(frame_len)
-            truth = (a1[L:L + frame_len] != a3[L:L + frame_len]).astype(np.int8)
+            r, truth = time_offset_frame(frame_len, dt, sd_half, pulse, rng)
             err += int(np.sum(threshold_bits(r, scale) != truth))
-            tot += frame_len
-    return err, tot
+    return err, 2 * nframes * frame_len
+
+
+def _mi_perfect(cfg, snr_db, num_samples, rng):
+    return mutual_info.mi_given_theta(snr_db, 0.0, num_samples, rng) * num_samples, num_samples
+
+
+def _mi_phase(cfg, snr_db, num_samples, rng):
+    n = max(1, num_samples // mutual_info.PHASE_GRID_POINTS) * mutual_info.PHASE_GRID_POINTS
+    return mutual_info.mi_phase_unsync(snr_db, num_samples, rng) * n, n
+
+
+def _mi_time(cfg, snr_db, num_samples, rng):
+    n = max(1, math.ceil(num_samples / cfg.frame_length)) * cfg.frame_length
+    mi = mutual_info.mi_time_unsync(snr_db, cfg.effective_offset_range(), num_samples, rng,
+                                    pulse=cfg.pulse(), frame_len=cfg.frame_length)
+    return mi * n, n
+
+
+# scenario -> (its index in every RNG spawn key, BER batch, MI batch)
+_SCENARIOS = {
+    "perfect": (0, _ber_perfect, _mi_perfect),
+    "phase_unsync": (1, _ber_phase, _mi_phase),
+    "time_unsync": (2, _ber_time, _mi_time),
+}
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def scenario_label(cfg: ExperimentConfig) -> str:
+    """Scenario column of the result rows; time_unsync carries its range."""
+    if cfg.scenario == "time_unsync":
+        return f"time_unsync_x{cfg.effective_offset_range():g}"
+    return cfg.scenario
+
+
+def _sweep(cfg: ExperimentConfig, key: tuple, batch):
+    """(snr, sum, count) per SNR point, over cfg.workers batches of the budget.
+
+    Batch b of point i draws from SeedSequence(seed, spawn_key=key + (i, b))
+    and the batches reduce in fixed order, so a result depends only on the
+    config, the seed and the batch count.
+    """
+    share = max(1, cfg.samples_per_point // cfg.workers)
+    for i, snr in enumerate(cfg.snr_grid_db):
+        total = count = 0
+        for b in range(cfg.workers):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.master_seed, spawn_key=key + (i, b)))
+            s, n = batch(cfg, snr, share, rng)
+            total += s
+            count += n
+        yield float(snr), total, count
+
+
+# ---------------------------------------------------------------------------
+# BER / MI / penalty / chain runners
 
 
 def run_ber(cfg: ExperimentConfig) -> list[BerResult]:
     """Monte-Carlo xor BER at the relay, one result per SNR point."""
-    x = cfg.effective_offset_range()
-    pulse = cfg.pulse()
-    share = max(1, cfg.samples_per_point // cfg.workers)
-    results = []
-    for i, snr in enumerate(cfg.snr_grid_db):
-        err = tot = 0
-        for b in range(cfg.workers):
-            rng = _point_rng(cfg, "ber", i, b)
-            if cfg.scenario == "perfect":
-                e, n = _ber_perfect_batch(snr, share, rng)
-            elif cfg.scenario == "phase_unsync":
-                e, n = _ber_phase_batch(snr, share, rng, cfg.frame_length)
-            else:
-                e, n = _ber_time_batch(snr, x, share, rng, cfg.frame_length, pulse)
-            err += e
-            tot += n
-        label = cfg.scenario if cfg.scenario != "time_unsync" else f"time_unsync_x{x:g}"
-        results.append(BerResult(snr_db=float(snr), scenario=label, ber=err / tot,
-                                 num_bits=tot, num_errors=err, seed=cfg.master_seed))
+    stream, batch, _ = _SCENARIOS[cfg.scenario]
+    label = scenario_label(cfg)
+    results = [BerResult(snr_db=snr, scenario=label, ber=err / tot, num_bits=tot,
+                         num_errors=err, seed=cfg.master_seed)
+               for snr, err, tot in _sweep(cfg, (0, stream), batch)]
     if cfg.output_path:
         write_ber_csv(cfg.output_path, cfg, results)
     return results
 
 
-# ---------------------------------------------------------------------------
-# MI / penalty / chain runners
-
-
-def run_mi(cfg: ExperimentConfig) -> list[mutual_info.MiEstimate]:
+def run_mi(cfg: ExperimentConfig) -> list[MiEstimate]:
     """Mutual-information curve for the configured scenario."""
-    est = mutual_info.mi_curve(
-        cfg.scenario, cfg.snr_grid_db, cfg.samples_per_point, cfg.master_seed,
-        offset_range=cfg.effective_offset_range() if cfg.scenario == "time_unsync" else None,
-        pulse=cfg.pulse(), frame_len=cfg.frame_length, num_batches=cfg.workers)
+    stream, _, batch = _SCENARIOS[cfg.scenario]
+    label = scenario_label(cfg)
+    # the MI streams carry no command index, unlike the BER streams
+    est = [MiEstimate(snr_db=snr, scenario=label,
+                      mi_bits_per_dim=float(np.clip(acc / used, 0.0, 1.0)),
+                      num_samples=used, seed=cfg.master_seed)
+           for snr, acc, used in _sweep(cfg, (stream,), batch)]
     if cfg.output_path:
         write_mi_csv(cfg.output_path, cfg, est)
     return est

@@ -10,8 +10,9 @@ simulated separately, never jointly):
     raised-cosine pulses and the receiver sampling midway between the two
     symbol centers.
 
-Additive white Gaussian noise is applied per real dimension with an
-explicit RNG stream so runs are reproducible.
+The per-frame channel synthesis of the Monte-Carlo runners lives here too:
+the offset draws and the noisy received frames, each drawn from an
+explicit RNG stream in a fixed order so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -68,25 +69,6 @@ class PulseShape:
             raise ValueError(f"rolloff must be in [0, 1], got {self.rolloff}")
         if self.truncation_symbols < 1:
             raise ValueError("truncation_symbols must be >= 1")
-
-    def value(self, t, T: float = 1.0):
-        return raised_cosine(t, T, self.rolloff)
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One complex baseband sample at the relay, with its noise convention."""
-
-    i_sample: float
-    q_sample: float
-    noise_var: float  # sigma^2 per real dimension
-
-    def __post_init__(self):
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
-
-    def as_complex(self) -> complex:
-        return complex(self.i_sample, self.q_sample)
 
 
 def fold_phase(theta: float) -> tuple[float, int]:
@@ -181,7 +163,6 @@ def sample_with_time_offset(a1, a3, k: int, offsets: SyncOffsets, pulse: PulseSh
         raise IndexError(f"ISI window [{k - L}, {k + L}] exceeds sequence bounds "
                          f"(len {len(a1)}, {len(a3)})")
     T = offsets.symbol_duration
-    dt = offsets.time_offset_frac * T
     _, te, tl = isi_taps(offsets.time_offset_frac, pulse, T)
     # taps are indexed by lag j = k - l, so reverse the symbol slice
     seg1 = a1[k - L: k + L + 1][::-1]
@@ -199,12 +180,42 @@ def mid_offset_frame(a1, a3, dt_frac: float, pulse: PulseShape) -> np.ndarray:
     return 0.5 * (np.convolve(a1, te, mode="same") + np.convolve(a3, tl, mode="same"))
 
 
-def add_awgn(clean: complex, noise_var: float, rng: np.random.Generator) -> Observation:
-    """Add independent N(0, noise_var) noise to each real dimension."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
-    if noise_var == 0:
-        return Observation(clean.real, clean.imag, 0.0)
-    sd = math.sqrt(noise_var)
-    n_i, n_q = rng.normal(0.0, sd, 2)
-    return Observation(clean.real + n_i, clean.imag + n_q, noise_var)
+# ---------------------------------------------------------------------------
+# per-frame channel synthesis (draw order is part of the RNG stream contract)
+
+
+def draw_phase_offset(rng: np.random.Generator) -> float:
+    """One frame's phase offset: uniform over [-pi/4, pi/4], folded."""
+    return fold_phase(float(rng.uniform(-math.pi / 4, math.pi / 4)))[0]
+
+
+def draw_time_offset(half_range: float, rng: np.random.Generator) -> float:
+    """One frame's time offset dt/T: uniform over [-x, x]; x = 0 draws nothing."""
+    return float(rng.uniform(-half_range, half_range)) if half_range > 0 else 0.0
+
+
+def qpsk_pair_frame(n: int, theta: float, sd: float, rng: np.random.Generator):
+    """n noisy samples r = s1 + s3 e^{j theta} + noise: (r, xor_i, xor_q).
+
+    Draws the bits i1, q1, i3, q3, then the I and Q noise, each N(0, sd^2).
+    """
+    i1, q1, i3, q3 = (rng.integers(0, 2, n) for _ in range(4))
+    r = ((2 * i1 - 1) + 1j * (2 * q1 - 1)) \
+        + ((2 * i3 - 1) + 1j * (2 * q3 - 1)) * np.exp(1j * theta)
+    r = r + sd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return r, i1 ^ i3, q1 ^ q3
+
+
+def time_offset_frame(n: int, dt_frac: float, sd: float, pulse: PulseShape,
+                      rng: np.random.Generator):
+    """n noisy mid-offset samples of one real dimension: (r, true xor bits).
+
+    Draws two +-1 trains of n + 2L symbols (L = truncation window), then
+    N(0, sd^2) noise on the middle n samples.
+    """
+    L = pulse.truncation_symbols
+    a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
+    a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
+    r = mid_offset_frame(a1, a3, dt_frac, pulse)[L:L + n]
+    r = r + sd * rng.standard_normal(n)
+    return r, (a1[L:L + n] != a3[L:L + n]).astype(np.int8)

@@ -13,31 +13,16 @@ max-subtraction so high-SNR runs do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import logsumexp
 
 from .detection import build_hypotheses
-from .impairments import PulseShape, isi_taps, mid_offset_frame
+from .impairments import PulseShape, draw_time_offset, isi_taps, time_offset_frame
 
+PHASE_GRID_POINTS = 20  # midpoint grid of the phase_unsync average
 _LOG2 = math.log(2.0)
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class MiEstimate:
-    """One mutual-information point."""
-
-    snr_db: float
-    scenario: str
-    mi_bits_per_dim: float
-    num_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not -1e-9 <= self.mi_bits_per_dim <= 1.0 + 1e-9:
-            raise ValueError(f"mi_bits_per_dim out of [0, 1]: {self.mi_bits_per_dim}")
+_ENUM_WINDOW = 2  # neighbors per side whose ISI the time-offset MI enumerates exactly
 
 
 def mi_given_theta(snr_db: float, theta: float, num_samples: int,
@@ -82,7 +67,7 @@ def phase_offset_grid(num_grid: int) -> np.ndarray:
 
 
 def mi_phase_unsync(snr_db: float, num_samples: int, rng: np.random.Generator,
-                    num_grid: int = 20) -> float:
+                    num_grid: int = PHASE_GRID_POINTS) -> float:
     """Average of mi_given_theta over the midpoint offset grid.
 
     num_samples is the total budget, split evenly across the grid.
@@ -111,7 +96,7 @@ def _window_isi_atoms(taps_early, taps_late, lags, window: int):
 
 def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
                    rng: np.random.Generator, pulse: PulseShape | None = None,
-                   frame_len: int = 1000, enum_window: int = 2) -> float:
+                   frame_len: int = 1000) -> float:
     """Per-dimension xor information with a random symbol-time offset.
 
     Per frame the offset is drawn uniform over [-x, x]*T, a +-1 frame is
@@ -119,7 +104,7 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
     information of the current xor bit given the scalar sample is
     accumulated.  Neighbor bits are channel randomness, not known: the
     conditional densities mix the exactly enumerated ISI of the
-    |lag| <= enum_window neighbors, with the truncated tail folded into
+    |lag| <= _ENUM_WINDOW neighbors, with the truncated tail folded into
     the noise variance.  num_samples rounds up to whole frames.
     """
     if not 0.0 <= dt_half_range <= 0.5:
@@ -131,16 +116,12 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
     nframes = max(1, math.ceil(num_samples / frame_len))
     total = 0.0
     for _ in range(nframes):
-        dt = float(rng.uniform(-dt_half_range, dt_half_range)) if dt_half_range > 0 else 0.0
+        dt = draw_time_offset(dt_half_range, rng)
         lags, te, tl = isi_taps(dt, pulse)
-        a1 = rng.integers(0, 2, frame_len + 2 * L) * 2 - 1
-        a3 = rng.integers(0, 2, frame_len + 2 * L) * 2 - 1
-        r_all = mid_offset_frame(a1, a3, dt, pulse)
-        r = r_all[L:L + frame_len] + sd_half * rng.standard_normal(frame_len)
-        xbit = (a1[L:L + frame_len] != a3[L:L + frame_len]).astype(np.int8)
+        r, xbit = time_offset_frame(frame_len, dt, sd_half, pulse, rng)
 
         level = te[L]  # p(dt/2); per-dim levels are 0 and +-2*(level/2)
-        atoms, tail_var = _window_isi_atoms(te, tl, lags, enum_window)
+        atoms, tail_var = _window_isi_atoms(te, tl, lags, _ENUM_WINDOW)
         veff = sd_half * sd_half + tail_var
         d = r[:, None] - atoms[None, :]
         k = atoms.size
@@ -152,56 +133,3 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
         total += float(np.sum(log_x - log_mix)) / _LOG2
     return total / (nframes * frame_len)
 
-
-_SCENARIO_IDS = {"perfect": 0, "phase_unsync": 1, "time_unsync": 2}
-
-
-def scenario_label(scenario: str, offset_range: float | None) -> str:
-    if scenario == "time_unsync":
-        return f"time_unsync_x{offset_range:g}"
-    return scenario
-
-
-def mi_curve(scenario: str, snr_grid_db, samples_per_point: int, seed: int,
-             offset_range: float | None = None, num_grid: int = 20,
-             pulse: PulseShape | None = None, frame_len: int = 1000,
-             num_batches: int = 1) -> list[MiEstimate]:
-    """One MiEstimate per SNR point; deterministic for a given seed.
-
-    scenario: 'perfect' (theta = 0), 'phase_unsync' (offset grid average)
-    or 'time_unsync' (offset_range = half-range x of dt/T).  The sample
-    budget of each point splits across num_batches work units, each owning
-    an RNG stream derived from (seed, scenario, point, batch); batch means
-    reduce in fixed order, so a result is reproducible for a given seed
-    and batch count.
-    """
-    if scenario not in _SCENARIO_IDS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario == "time_unsync" and offset_range is None:
-        raise ValueError("time_unsync needs offset_range")
-    if num_batches < 1:
-        raise ValueError("num_batches must be >= 1")
-    out = []
-    label = scenario_label(scenario, offset_range)
-    share = max(1, samples_per_point // num_batches)
-    for i, snr in enumerate(snr_grid_db):
-        acc = 0.0
-        used = 0
-        for b in range(num_batches):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(_SCENARIO_IDS[scenario], i, b)))
-            if scenario == "perfect":
-                mi, n = mi_given_theta(snr, 0.0, share, rng), share
-            elif scenario == "phase_unsync":
-                mi = mi_phase_unsync(snr, share, rng, num_grid=num_grid)
-                n = max(1, share // num_grid) * num_grid
-            else:
-                mi = mi_time_unsync(snr, offset_range, share, rng,
-                                    pulse=pulse, frame_len=frame_len)
-                n = max(1, math.ceil(share / frame_len)) * frame_len
-            acc += mi * n
-            used += n
-        out.append(MiEstimate(snr_db=float(snr), scenario=label,
-                              mi_bits_per_dim=float(np.clip(acc / used, 0.0, 1.0)),
-                              num_samples=used, seed=seed))
-    return out

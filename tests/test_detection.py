@@ -6,15 +6,17 @@ from hypothesis import given, strategies as st
 
 from pncsync.detection import (
     build_hypotheses,
-    detect_ml_xor,
-    detect_threshold,
     min_interclass_distance_sq,
     ml_xor_bits,
     threshold_bits,
 )
-from pncsync.impairments import Observation
 from pncsync.mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
 from pncsync import analysis
+
+
+def ml_pair(sample, hyp, noise_var) -> BitPair:
+    """ML xor decision for one complex sample, as a bit pair."""
+    return BitPair(*ml_xor_bits(sample, hyp, noise_var)[0].tolist())
 
 
 def test_hypotheses_cardinality_any_theta():
@@ -45,20 +47,21 @@ def test_hypotheses_at_zero_offset_match_level_lattice():
 
 
 def test_threshold_known_decisions():
-    assert detect_threshold(Observation(1.9, -2.1, 0.1), 1.0) == BitPair(0, 0)
-    assert detect_threshold(Observation(0.3, -0.2, 0.1), 1.0) == BitPair(1, 1)
-    assert detect_threshold(Observation(0.6, 1.2, 0.1), 0.5) == BitPair(0, 0)
+    assert threshold_bits([1.9, -2.1], 1.0).tolist() == [0, 0]
+    assert threshold_bits([0.3, -0.2], 1.0).tolist() == [1, 1]
+    assert threshold_bits([0.6, 1.2], 0.5).tolist() == [0, 0]
+    assert threshold_bits([1.0, -1.0], 1.0).tolist() == [1, 1]  # boundary decides 1
     with pytest.raises(ValueError):
         threshold_bits([0.0], 0.0)
 
 
 def test_ml_known_decisions():
     hyp = build_hypotheses(0.0)
-    assert detect_ml_xor(Observation(2.0, 0.0, 0.25), hyp) == BitPair(0, 1)
+    assert ml_pair(2.0 + 0.0j, hyp, 0.25) == BitPair(0, 1)
     # likelihood concentration: observation placed on a constellation point
     hyp8 = build_hypotheses(math.pi / 8)
     p = hyp8.points[2][1]
-    assert detect_ml_xor(Observation(p.real, p.imag, 1e-4), hyp8) == BitPair(1, 0)
+    assert ml_pair(p, hyp8, 1e-4) == BitPair(1, 0)
 
 
 def test_ml_matches_threshold_at_zero_offset():
@@ -81,8 +84,7 @@ def test_ml_zero_variance_falls_back_to_nearest_point():
     hyp = build_hypotheses(0.1)
     for c in range(4):
         for p in hyp.points[c]:
-            got = detect_ml_xor(Observation(p.real, p.imag, 0.0), hyp)
-            assert got == hyp.class_bits(c)
+            assert ml_pair(p, hyp, 0.0) == hyp.class_bits(c)
 
 
 def test_noiseless_correctness_over_theta_grid():
@@ -93,8 +95,7 @@ def test_noiseless_correctness_over_theta_grid():
                 s1 = qpsk_modulate(b1).as_complex()
                 s3 = qpsk_modulate(b3).as_complex()
                 r = s1 + s3 * np.exp(1j * theta)
-                got = detect_ml_xor(Observation(r.real, r.imag, 1e-6), hyp)
-                assert got == b1 ^ b3
+                assert ml_pair(r, hyp, 1e-6) == b1 ^ b3
 
 
 def test_min_distance_matches_closed_form():
@@ -109,8 +110,8 @@ def test_ml_tie_breaks_lexicographically():
     # ML still resolves deterministically to the smallest class index among
     # the maxima, and the winner here is the origin's own class (1,1)
     hyp = build_hypotheses(0.0)
-    a = detect_ml_xor(Observation(0.0, 0.0, 0.5), hyp)
-    b = detect_ml_xor(Observation(0.0, 0.0, 0.5), hyp)
+    a = ml_pair(0j, hyp, 0.5)
+    b = ml_pair(0j, hyp, 0.5)
     assert a == b == BitPair(1, 1)
 
 
@@ -118,5 +119,5 @@ def test_ml_tie_breaks_lexicographically():
        st.floats(-4, 4), st.floats(-4, 4))
 def test_ml_decision_is_deterministic(theta, x, y):
     hyp = build_hypotheses(theta)
-    obs = Observation(x, y, 0.3)
-    assert detect_ml_xor(obs, hyp) == detect_ml_xor(obs, hyp)
+    r = complex(x, y)
+    assert ml_pair(r, hyp, 0.3) == ml_pair(r, hyp, 0.3)

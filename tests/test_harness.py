@@ -5,7 +5,9 @@ import pytest
 from scipy.special import erfc
 
 from pncsync import harness
-from pncsync.cli import main as cli_main
+from pncsync.cli import _parse_grid, main as cli_main
+from pncsync.impairments import mid_offset_frame, raised_cosine
+from pncsync.mutual_info import mi_given_theta
 from pncsync.harness import (
     BerResult,
     ExperimentConfig,
@@ -59,6 +61,15 @@ def test_config_validation():
         ExperimentConfig(offset_range=0.7)
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(snr_grid_db=(0.0, bad))
+    # a time-offset range the scenario would silently ignore
+    for scenario in ("perfect", "phase_unsync"):
+        for command in ("ber", "mi"):
+            with pytest.raises(ValueError, match="only to time_unsync"):
+                ExperimentConfig(command=command, scenario=scenario, offset_range=0.2)
+    ExperimentConfig(scenario="time_unsync", offset_range=0.2)
     # penalty/chain commands are not statistical; small samples allowed
     ExperimentConfig(command="penalty", samples_per_point=1)
 
@@ -167,8 +178,44 @@ def test_ber_worker_split_changes_batching_not_totals():
         assert r.ber == r.num_errors / r.num_bits
 
 
+def test_ber_streams_are_keyed_by_command_scenario_point_batch():
+    # point 1 of a time_unsync run, recomputed draw by draw from the
+    # streams (0, 2, point, batch): 3000 bits per batch = 3 frames x 2 dims
+    cfg = ExperimentConfig(command="ber", scenario="time_unsync", offset_range=0.3,
+                           snr_grid_db=(3.0, 5.0), samples_per_point=6_000, workers=2,
+                           frame_length=500, master_seed=17)
+    got = run_ber(cfg)[1]
+    pulse, L, n = cfg.pulse(), cfg.truncation, cfg.frame_length
+    sd = 10.0 ** (-5.0 / 20.0) / 2.0
+    err = tot = 0
+    for b in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(0, 2, 1, b)))
+        for _frame in range(3):
+            dt = rng.uniform(-0.3, 0.3)
+            scale = 0.5 * raised_cosine(dt / 2, 1.0, 0.5)
+            for _dim in range(2):
+                a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
+                a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
+                r = (mid_offset_frame(a1, a3, dt, pulse)[L:L + n]
+                     + sd * rng.standard_normal(n))
+                err += int(np.sum((np.abs(r) <= scale) != (a1[L:L + n] != a3[L:L + n])))
+                tot += n
+    assert (got.num_errors, got.num_bits) == (err, tot)
+    assert got.scenario == "time_unsync_x0.3"
+
+
 # ---------------------------------------------------------------------------
 # MI runner
+
+
+def test_mi_streams_are_keyed_by_scenario_point_batch():
+    cfg = ExperimentConfig(command="mi", scenario="perfect", snr_grid_db=(0.0, 5.0),
+                           samples_per_point=3_000, master_seed=21)
+    for i, e in enumerate(run_mi(cfg)):
+        rng = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0, i, 0)))
+        want = mi_given_theta(e.snr_db, 0.0, 3_000, rng)
+        assert e.mi_bits_per_dim == pytest.approx(want, rel=0, abs=1e-12)
+        assert e.num_samples == 3_000
 
 
 def test_mi_csv_schema_and_determinism(tmp_path):
@@ -300,6 +347,32 @@ def test_cli_penalty_prints_summary(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "avg_phase_penalty_db" in out
+
+
+def test_cli_grid_points_are_exact_decimals():
+    assert _parse_grid("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
+    assert _parse_grid("4:8") == (4.0, 5.0, 6.0, 7.0, 8.0)
+    assert _parse_grid("0:1:0.6") == (0.0, 0.6)  # stop is an upper bound
+    assert _parse_grid("5,10") == (5.0, 10.0)
+    # grids on binary fractions keep the floats start + i*step
+    for text in ("0:15:0.5", "7:9:0.25", "3:6:0.5", "11:15:0.5", "0:14:1",
+                 "0:12:0.25", "8:14:0.5", "2:8:0.5", "-3:0:0.5"):
+        start, stop, step = (float(v) for v in text.split(":"))
+        n = int(round((stop - start) / step)) + 1
+        assert _parse_grid(text) == tuple(start + i * step for i in range(n))
+
+
+@pytest.mark.parametrize("text", ["0:10:0", "0:10:-1", "10:0:1", "a:b:c", "0:1:0.5:2",
+                                  "nan:1:1", "0:inf:1"])
+def test_cli_grid_rejects_degenerate_ranges(text):
+    with pytest.raises(ValueError, match=f"snr grid '{text}'"):
+        _parse_grid(text)
+
+
+@pytest.mark.parametrize("grid", ["nan", "0,inf"])
+def test_cli_rejects_non_finite_snr(grid):
+    with pytest.raises(ValueError, match="finite"):
+        cli_main(["ber", "--snr-grid", grid, "--samples", "2000"])
 
 
 def test_cli_mi_smoke(tmp_path):

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pncsync.impairments import (
-    Observation,
     PulseShape,
     SyncOffsets,
-    add_awgn,
+    draw_phase_offset,
+    draw_time_offset,
     fold_phase,
     isi_taps,
     mid_offset_frame,
+    qpsk_pair_frame,
     raised_cosine,
     rotate_symbol,
     sample_with_time_offset,
     superpose_phase_offset,
+    time_offset_frame,
 )
+from pncsync.mapping import BitPair, SuperposedLevel, pnc_xor_of_levels
 
 QPSK = [complex(a, b) for a in (-1, 1) for b in (-1, 1)]
 
@@ -120,7 +123,7 @@ def test_raised_cosine_validation():
 
 
 # ---------------------------------------------------------------------------
-# offsets and observations
+# offsets
 
 
 def test_sync_offsets_validation():
@@ -141,12 +144,6 @@ def test_phase_ramp_folds_per_symbol():
         expect = fold_phase(0.2 + k * 0.3)[0]
         assert off.phase_at(k) == pytest.approx(expect, abs=1e-15)
         assert -math.pi / 4 <= off.phase_at(k) < math.pi / 4
-
-
-def test_observation_validation():
-    with pytest.raises(ValueError):
-        Observation(0.0, 0.0, -1.0)
-    assert Observation(1.0, -2.0, 0.5).as_complex() == 1 - 2j
 
 
 # ---------------------------------------------------------------------------
@@ -246,32 +243,77 @@ def test_isi_taps_center_is_signal_tap():
 
 
 # ---------------------------------------------------------------------------
-# AWGN
+# per-frame synthesis used by the BER and MI runners
+
+PULSE = PulseShape(0.5, 16)
 
 
-def test_add_awgn_zero_variance_passthrough():
-    rng = np.random.default_rng(0)
-    obs = add_awgn(2 + 2j, 0.0, rng)
-    assert obs == Observation(2.0, 2.0, 0.0)
+def test_offset_draws_stay_in_range_and_follow_the_stream():
+    rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+    for _ in range(200):
+        theta = draw_phase_offset(rng)
+        assert -math.pi / 4 <= theta < math.pi / 4
+        assert theta == fold_phase(float(ref.uniform(-math.pi / 4, math.pi / 4)))[0]
+        dt = draw_time_offset(0.3, rng)
+        assert -0.3 <= dt <= 0.3 and dt == float(ref.uniform(-0.3, 0.3))
+    # a zero range draws nothing from the stream
+    assert draw_time_offset(0.0, rng) == 0.0
+    assert rng.random() == ref.random()
 
 
-def test_add_awgn_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        add_awgn(0j, -0.1, np.random.default_rng(0))
+def test_frames_follow_the_documented_draw_order():
+    n, sd, theta, dt = 50, 0.4, 0.3, 0.25
+    rng = np.random.default_rng(62)
+    r, xi, xq = qpsk_pair_frame(n, theta, sd, rng)
+    rt, xt = time_offset_frame(n, dt, sd, PULSE, rng)
+
+    ref = np.random.default_rng(62)
+    i1, q1, i3, q3 = (ref.integers(0, 2, n) for _ in range(4))
+    s1 = (2 * i1 - 1) + 1j * (2 * q1 - 1)
+    s3 = (2 * i3 - 1) + 1j * (2 * q3 - 1)
+    noise = ref.standard_normal(n) + 1j * ref.standard_normal(n)
+    assert np.allclose(r, s1 + s3 * np.exp(1j * theta) + sd * noise, rtol=0, atol=1e-12)
+    assert np.array_equal(xi, i1 ^ i3) and np.array_equal(xq, q1 ^ q3)
+    a1 = ref.integers(0, 2, n + 32) * 2 - 1
+    a3 = ref.integers(0, 2, n + 32) * 2 - 1
+    want = [sample_with_time_offset(a1, a3, k, SyncOffsets(time_offset_frac=dt), PULSE)
+            for k in range(16, 16 + n)] + sd * ref.standard_normal(n)
+    assert np.allclose(rt, want, rtol=0, atol=1e-12)
+    assert np.array_equal(xt, a1[16:16 + n] != a3[16:16 + n])
 
 
-def test_add_awgn_statistics():
-    rng = np.random.default_rng(1234)
+def test_noiseless_frames_carry_the_true_xor():
+    # theta = 0: levels {-2, 0, 2} per dimension, demapped by the relay rule
+    r, xi, xq = qpsk_pair_frame(400, 0.0, 0.0, np.random.default_rng(63))
+    for v, bi, bq in zip(r, xi, xq):
+        level = SuperposedLevel(int(v.real), int(v.imag))
+        assert complex(level.i_level, level.q_level) == v
+        assert pnc_xor_of_levels(level) == BitPair(int(bi), int(bq))
+    # dt = 0: levels {-1, 0, 1}, and level 0 exactly where the trains differ
+    rt, xt = time_offset_frame(400, 0.0, 0.0, PULSE, np.random.default_rng(64))
+    levels = np.rint(rt)
+    assert set(levels.tolist()) == {-1.0, 0.0, 1.0}
+    assert np.allclose(rt, levels, rtol=0, atol=1e-12)
+    assert np.array_equal(xt, (levels == 0).astype(np.int8))
+
+
+@pytest.mark.parametrize("frame", ["qpsk", "time"])
+def test_frame_noise_statistics(frame):
+    # same stream with and without noise: the difference is the added noise
     n = 100_000
-    draws = np.array([add_awgn(1 + 2j, 1.0, rng).as_complex() for _ in range(n)])
-    # mean within 3/sqrt(n) of the clean point, per dimension
-    tol = 3.0 / math.sqrt(n)
-    assert abs(draws.real.mean() - 1.0) < tol
-    assert abs(draws.imag.mean() - 2.0) < tol
-    assert abs(draws.real.var() - 1.0) < 0.05
+    sd = 10.0 ** (-6.0 / 20.0)  # the per-dimension sd of the runners at 6 dB
 
+    def synth(s):
+        rng = np.random.default_rng(65)
+        if frame == "qpsk":
+            return qpsk_pair_frame(n, 0.2, s, rng)[0]
+        return time_offset_frame(n, 0.3, s, PULSE, rng)[0]
 
-def test_add_awgn_deterministic_given_stream():
-    a = add_awgn(0j, 0.25, np.random.default_rng(42))
-    b = add_awgn(0j, 0.25, np.random.default_rng(42))
-    assert a == b
+    noise = synth(sd) - synth(0.0)
+    dims = (noise.real, noise.imag) if frame == "qpsk" else (noise,)
+    for d in dims:
+        assert abs(d.mean()) < 4.0 * sd / math.sqrt(n)
+        # relative sd of a sample variance is sqrt(2/n) ~ 0.0045
+        assert d.var() == pytest.approx(sd * sd, rel=0.02)
+    if frame == "qpsk":
+        assert abs(np.corrcoef(noise.real, noise.imag)[0, 1]) < 4.0 / math.sqrt(n)

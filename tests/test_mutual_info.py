@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from pncsync.detection import build_hypotheses
-from pncsync.impairments import PulseShape
+from pncsync.harness import ExperimentConfig, MiEstimate, run_mi
 from pncsync.mutual_info import (
-    MiEstimate,
-    mi_curve,
     mi_given_theta,
     mi_phase_unsync,
     mi_time_unsync,
@@ -125,32 +123,38 @@ def test_mi_estimate_bounds_enforced():
         MiEstimate(0.0, "perfect", 1.5, 10, 1)
 
 
+def _mi_curve(scenario, grid, samples, seed, **kw):
+    return run_mi(ExperimentConfig(command="mi", scenario=scenario, snr_grid_db=grid,
+                                   samples_per_point=samples, master_seed=seed, **kw))
+
+
 def test_mi_curve_deterministic_and_bounded():
     grid = (0.0, 4.0, 8.0)
-    a = mi_curve("perfect", grid, 20_000, seed=77)
-    b = mi_curve("perfect", grid, 20_000, seed=77)
+    a = _mi_curve("perfect", grid, 20_000, seed=77)
+    b = _mi_curve("perfect", grid, 20_000, seed=77)
     assert a == b
     assert all(0.0 <= e.mi_bits_per_dim <= 1.0 for e in a)
     assert [e.snr_db for e in a] == list(grid)
 
 
 def test_mi_curve_monotone_in_snr_statistically():
-    est = mi_curve("perfect", tuple(range(0, 13, 2)), 50_000, seed=5)
+    est = _mi_curve("perfect", tuple(range(0, 13, 2)), 50_000, seed=5)
     vals = [e.mi_bits_per_dim for e in est]
     # allow 3-sigma jitter (~0.005 at this sample size)
     assert all(b >= a - 0.01 for a, b in zip(vals, vals[1:]))
 
 
 def test_mi_curve_scenarios_and_labels():
-    t = mi_curve("time_unsync", (5.0,), 2_000, seed=1, offset_range=0.5,
-                 pulse=PulseShape(0.5, 16))
+    t = _mi_curve("time_unsync", (5.0,), 2_000, seed=1, offset_range=0.5)
     assert t[0].scenario == "time_unsync_x0.5"
-    p = mi_curve("phase_unsync", (5.0,), 2_000, seed=1)
+    # without a range, time_unsync uses the full [-T/2, T/2]
+    assert _mi_curve("time_unsync", (5.0,), 2_000, seed=1) == t
+    p = _mi_curve("phase_unsync", (5.0,), 2_000, seed=1)
     assert p[0].scenario == "phase_unsync"
     with pytest.raises(ValueError):
-        mi_curve("time_unsync", (5.0,), 2_000, seed=1)  # missing offset_range
+        _mi_curve("phase_unsync", (5.0,), 2_000, seed=1, offset_range=0.2)
     with pytest.raises(ValueError):
-        mi_curve("nope", (5.0,), 2_000, seed=1)
+        _mi_curve("nope", (5.0,), 2_000, seed=1)
 
 
 def test_mi_estimator_standard_error_shrinks_with_samples():
