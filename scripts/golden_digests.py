@@ -8,8 +8,15 @@ and MI, frame lengths 1000/100/37, batch counts 1-7, odd sample budgets
 and chain commands.  Prints one 'case sha256' line per case.
 
     PYTHONPATH=src python scripts/golden_digests.py > digests.txt
+
+With --check FILE it compares the digests with a listing instead (the
+checked-in one is scripts/golden_digests.txt), names every case that
+differs or is missing, and exits non-zero if any does:
+
+    PYTHONPATH=src python scripts/golden_digests.py --check scripts/golden_digests.txt
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -79,15 +86,46 @@ def cases() -> dict:
     return out
 
 
-def main() -> int:
+def digests() -> dict:
+    """{case: sha256 hex digest of its output file}, in case order."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in cases().items():
             path = os.path.join(tmp, name + ".csv")
             with contextlib.redirect_stdout(io.StringIO()):
                 pnc(argv + ["--out", path])
             with open(path, "rb") as fh:
-                print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
-    return 0
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def check(listing: str, got: dict) -> list:
+    """One message per case whose digest differs from the listing's or is absent."""
+    want = dict(line.split() for line in listing.splitlines() if line.strip())
+    bad = [f"{name}: expected {want[name]}, got {digest}"
+           for name, digest in got.items() if name in want and want[name] != digest]
+    bad += [f"{name}: not in the listing" for name in got if name not in want]
+    bad += [f"{name}: listed but not computed" for name in want if name not in got]
+    return bad
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare with this listing instead of printing one")
+    args = ap.parse_args(argv)
+    got = digests()
+    if args.check is None:
+        for name, digest in got.items():
+            print(f"{name} {digest}")
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        bad = check(fh.read(), got)
+    for msg in bad:
+        print(msg)
+    print(f"{len(bad)} case(s) differ from {args.check}" if bad
+          else f"all {len(got)} cases match {args.check}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .impairments import PulseShape, raised_cosine
 
@@ -85,8 +84,11 @@ def avg_phase_penalty_db() -> float:
     """Average penalty bound for a phase offset uniform over [-pi/4, pi/4].
 
     Integrates the linear bound by adaptive quadrature (abs tol 1e-10) and
-    converts to dB; the closed form of the integral is 3 - 8/pi.
+    converts to dB; the closed form of the integral is 3 - 8/pi.  scipy is
+    imported here, not at module level, so that only `pnc penalty` loads it.
     """
+    from scipy import integrate
+
     val, _ = integrate.quad(_phase_penalty_linear, 0.0, math.pi / 4,
                             epsabs=1e-10, epsrel=1e-12)
     return 10.0 * math.log10(val * 4.0 / math.pi)

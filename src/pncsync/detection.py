@@ -5,6 +5,9 @@ threshold rule.  The phase-offset scenario uses ML detection of the xor
 class over the 16-point superposed constellation: the four generating
 pairs of each class form a Gaussian mixture, and the exact per-class
 likelihood (sum over the four points, not max-log) is maximized.
+
+`logsumexp` is the one log-domain mixture kernel of the package; the
+mutual-information estimators use it too.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .impairments import superpose_phase_offset
 from .mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
@@ -58,6 +60,33 @@ def build_hypotheses(theta: float) -> XorHypothesisSet:
     return XorHypothesisSet(theta=theta, points=pts)
 
 
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along one axis, shifted by the maximum.
+
+    The max-shifted log1p form of Blanchard, Higham & Higham, "Accurately
+    computing the log-sum-exp and softmax functions" (IMA J. Numer. Anal.
+    2021): the m terms equal to the maximum leave the sum, the rest are
+    summed as s, and the result is log1p(s/m) + log(m) + max.  The
+    operations and their order are those of scipy.special.logsumexp
+    (scipy 1.17) without weights, so the outputs agree bit for bit.
+
+    Precondition: real floating input with a finite maximum in every row
+    along axis (no NaN, no row that is all -inf).
+    """
+    amax = a.max(axis=axis, keepdims=True)
+    top = a == amax
+    m = top.sum(axis=axis, keepdims=True, dtype=a.dtype)
+    e = np.where(top, -np.inf, a)
+    e -= amax
+    np.exp(e, out=e)
+    s = e.sum(axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s)
+    out += np.log(m)
+    out += amax
+    return out.squeeze(axis)
+
+
 def min_interclass_distance_sq(hyp: XorHypothesisSet) -> float:
     """Brute-force smallest squared distance between points of different classes."""
     best = math.inf
@@ -83,8 +112,9 @@ def threshold_bits(samples, scale: float) -> np.ndarray:
 def ml_class_scores(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
     """Per-class log-likelihood (up to a common constant) for complex samples.
 
-    score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ); equal priors
-    over the 16 pairs make the class prior a common constant.
+    score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
+    `logsumexp`, the kernel the mutual-information estimators share; equal
+    priors over the 16 pairs make the class prior a common constant.
     """
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
     d2 = np.abs(r[:, None, None] - hyp.points[None, :, :]) ** 2

@@ -6,17 +6,17 @@ the information is computed jointly in 2-D and halved.  With a time
 offset (phase perfect) the dimensions decouple and the per-dimension
 binary xor information is computed directly from the scalar mid-offset
 sample, with neighbor-symbol interference marginalized as part of the
-channel.  Gaussian mixtures are evaluated in the log domain with
-max-subtraction so high-SNR runs do not underflow.
+channel.  Gaussian mixtures are evaluated in the log domain by the
+shared max-shifted kernel `detection.logsumexp`, so high-SNR runs do not
+underflow.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import logsumexp
 
-from .detection import build_hypotheses
+from .detection import build_hypotheses, logsumexp
 from .impairments import PulseShape, draw_time_offset, isi_taps, time_offset_frame
 
 PHASE_GRID_POINTS = 20  # midpoint grid of the phase_unsync average

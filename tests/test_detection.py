@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp  # oracle of the numpy kernel
 
 from pncsync.detection import (
     build_hypotheses,
+    logsumexp,
     min_interclass_distance_sq,
+    ml_class_scores,
     ml_xor_bits,
     threshold_bits,
 )
@@ -121,3 +124,68 @@ def test_ml_decision_is_deterministic(theta, x, y):
     hyp = build_hypotheses(theta)
     r = complex(x, y)
     assert ml_pair(r, hyp, 0.3) == ml_pair(r, hyp, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp kernel: bit for bit the same as scipy.special.logsumexp
+
+# every (shape, axis) the package reduces: ML class scores and the per-class
+# MI numerator (n, 4, 4) axis 2, the MI denominator (n, 16), the time-offset
+# mixtures (n, 2k) and (n, k) with k = 256 atoms, and the two-bit mix (n, 2)
+KERNEL_SHAPES = [((300, 4, 4), 2), ((300, 16), 1), ((40, 512), 1), ((40, 256), 1),
+                 ((300, 2), 1), ((50, 1), 1)]
+
+
+def assert_same_bits(a, axis):
+    got = logsumexp(a, axis=axis)
+    want = scipy_logsumexp(a, axis=axis)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert not differ.any(), (f"{int(differ.sum())} of {differ.size} outputs differ, "
+                              f"first {got[differ][0]!r} vs {want[differ][0]!r}")
+
+
+def kernel_input(shape, axis, kind, rng):
+    """Exponents of the kind the package feeds the kernel, with forced edge cases."""
+    a = -rng.exponential(3.0, shape)
+    n = shape[axis]
+    lead = np.moveaxis(a, axis, -1)  # view: writes land in a
+    if kind == "ties2" and n >= 2:
+        lead[..., :2] = lead.max(axis=-1, keepdims=True) + 0.5
+    elif kind == "ties4" and n >= 4:
+        lead[..., :4] = lead.max(axis=-1, keepdims=True) + 0.25
+    elif kind == "all_equal":
+        lead[...] = lead[..., :1]
+    elif kind == "neg_inf" and n >= 2:
+        lead[..., 1::3] = -np.inf  # entry 0 stays finite
+    elif kind == "high_snr":
+        a *= 1e4
+        a -= 1e6
+    return a
+
+
+@pytest.mark.parametrize("kind", ["plain", "ties2", "ties4", "all_equal", "neg_inf",
+                                  "high_snr"])
+@pytest.mark.parametrize("shape,axis", KERNEL_SHAPES)
+def test_logsumexp_bits_match_scipy(shape, axis, kind):
+    rng = np.random.default_rng(11)
+    assert_same_bits(kernel_input(shape, axis, kind, rng), axis)
+
+
+@pytest.mark.parametrize("theta", [0.0, -math.pi / 4, 0.3])
+@pytest.mark.parametrize("noise_var", [1.0, 0.05, 1e-4])
+def test_logsumexp_bits_match_scipy_on_hypothesis_sets(theta, noise_var):
+    # at theta = 0 several of the 16 superposed points coincide, so rows
+    # have 2 or 4 equal maxima; samples placed on the points make them exact
+    hyp = build_hypotheses(theta)
+    rng = np.random.default_rng(7)
+    flat = hyp.points.reshape(-1)
+    r = np.concatenate([flat, flat[rng.integers(0, 16, 500)]
+                        + math.sqrt(noise_var) * (rng.standard_normal(500)
+                                                  + 1j * rng.standard_normal(500))])
+    e = -np.abs(r[:, None, None] - hyp.points[None, :, :]) ** 2 / (2.0 * noise_var)
+    assert_same_bits(e, 2)
+    assert_same_bits(e.reshape(-1, 16), 1)
+    assert np.array_equal(ml_class_scores(r, hyp, noise_var),
+                          scipy_logsumexp(e, axis=2))
