@@ -4,8 +4,10 @@
 A refactor that must not change any output runs this before and after
 and compares the two listings.  The cases cover every scenario for BER
 and MI, frame lengths 1000/100/37, batch counts 1-7, odd sample budgets
-(whose per-scenario rounding differs), the default seed, and the penalty
-and chain commands.  Prints one 'case sha256' line per case.
+(whose per-scenario rounding differs), the default seed, the time
+scenario at roll-offs 0.25 and 1.0 and, through a config file, at
+truncation 8, and the penalty and chain commands.  Prints one
+'case sha256' line per case.
 
     PYTHONPATH=src python scripts/golden_digests.py > digests.txt
 
@@ -71,6 +73,31 @@ OTHER = {
     "mi_seed7": ["mi", "--scenario", "time_unsync", "--offset-range", "0.3",
                  "--snr-grid", "4", "--samples", "5000", "--workers", "2", "--seed", "7"],
     "ber_default_seed": ["ber", "--snr-grid", "0:3:1", "--samples", "3000"],
+    "ber_time05_r025": ["ber", "--scenario", "time_unsync", "--offset-range", "0.5",
+                        "--rolloff", "0.25", "--snr-grid", "2:8:2", "--samples", "4000",
+                        "--workers", "2", "--seed", "4242"],
+    "ber_time05_r1": ["ber", "--scenario", "time_unsync", "--offset-range", "0.5",
+                      "--rolloff", "1.0", "--snr-grid", "2:8:2", "--samples", "4000",
+                      "--workers", "2", "--seed", "4242"],
+    "mi_time05_r025": ["mi", "--scenario", "time_unsync", "--offset-range", "0.5",
+                       "--rolloff", "0.25", "--snr-grid", "0:12:3", "--samples", "2000",
+                       "--seed", "4242"],
+    "mi_time05_r1": ["mi", "--scenario", "time_unsync", "--offset-range", "0.5",
+                     "--rolloff", "1.0", "--snr-grid", "0:12:3", "--samples", "2000",
+                     "--seed", "4242"],
+}
+
+# case -> (config file text, argv); the argv gains --config FILE
+CONFIGS = {
+    "ber_time04_t8_config": (
+        "scenario = time_unsync\noffset_range = 0.4\ntruncation = 8\nrolloff = 0.35\n"
+        "snr_grid_db = 2 5 8\nsamples_per_point = 4000\nframe_length = 200\n"
+        "master_seed = 4242\n", ["ber"]),
+    "mi_time04_t8_config": (
+        "scenario = time_unsync\noffset_range = 0.4\ntruncation = 8\nrolloff = 0.35\n"
+        "snr_grid_db = 0 4 8\nsamples_per_point = 2000\nframe_length = 200\n"
+        "master_seed = 4242\n", ["mi"]),
+    "penalty_t8_config": ("truncation = 8\nrolloff = 0.35\n", ["penalty"]),
 }
 
 
@@ -90,7 +117,13 @@ def digests() -> dict:
     """{case: sha256 hex digest of its output file}, in case order."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in cases().items():
+        todo = cases()
+        for name, (text, argv) in CONFIGS.items():
+            cfg = os.path.join(tmp, name + ".cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            todo[name] = argv + ["--config", cfg]
+        for name, argv in todo.items():
             path = os.path.join(tmp, name + ".csv")
             with contextlib.redirect_stdout(io.StringIO()):
                 pnc(argv + ["--out", path])

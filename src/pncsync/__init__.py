@@ -3,7 +3,7 @@ network coding (PNC) on a two-way relay channel.
 
 Submodules:
     mapping      QPSK modulation and the relay's xor demap/remap
-    impairments  phase/frequency offset, raised-cosine ISI, per-frame synthesis
+    impairments  phase folding, raised-cosine ISI taps, per-frame synthesis
     detection    threshold and ML xor detectors at the relay
     analysis     closed-form penalty math (min distance, SIR, SINR)
     mutual_info  Monte-Carlo mutual-information kernels of the xor symbol

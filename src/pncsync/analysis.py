@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import PulseShape, raised_cosine
+from .impairments import PulseShape, isi_taps, raised_cosine
 
 # 1-D chain SIR of the PNC schedule, carried as an input constant for the
 # scheme comparison footer (not recomputed here).
@@ -50,8 +50,7 @@ class SinrContext:
     def __post_init__(self):
         if not math.isfinite(self.snr0_db):
             raise ValueError("snr0_db must be finite")
-        if not 0.0 <= self.rolloff <= 1.0:
-            raise ValueError("rolloff must be in [0, 1]")
+        self.pulse()  # rolloff in [0, 1] and truncation >= 1
 
     def pulse(self) -> PulseShape:
         return PulseShape(self.rolloff, self.truncation_symbols)
@@ -131,24 +130,20 @@ def isi_variance(dt_frac: float, ctx: SinrContext) -> float:
     """
     if abs(dt_frac) > 0.5:
         raise ValueError(f"|dt_frac| must be <= 0.5, got {dt_frac}")
-    L = ctx.truncation_symbols
-    lags = np.concatenate([np.arange(-L, 0), np.arange(1, L + 1)])
-    pe = raised_cosine(lags + dt_frac / 2, 1.0, ctx.rolloff)
-    pl = raised_cosine(lags - dt_frac / 2, 1.0, ctx.rolloff)
-    return float(np.sum(pe ** 2) + np.sum(pl ** 2))
+    lags, te, tl = isi_taps(dt_frac, ctx.pulse())
+    tails = lags != 0
+    return float(np.sum(te[tails] ** 2) + np.sum(tl[tails] ** 2))
 
 
 def sinr_linear(dt_frac: float, ctx: SinrContext) -> float:
     """Linear SINR at one time offset: p(dt/2)^2 / (isi_variance + noise_var)."""
-    p = raised_cosine(dt_frac / 2, 1.0, ctx.rolloff)
+    p = raised_cosine(dt_frac / 2, ctx.rolloff)
     return p * p / (isi_variance(dt_frac, ctx) + ctx.noise_var())
 
 
 def sinr_penalty_db(dt_frac: float, ctx: SinrContext) -> float:
     """SINR penalty vs the reference SNR: signal loss plus ISI noise raise."""
-    if abs(dt_frac) > 0.5:
-        raise ValueError(f"|dt_frac| must be <= 0.5, got {dt_frac}")
-    p = raised_cosine(dt_frac / 2, 1.0, ctx.rolloff)
+    p = raised_cosine(dt_frac / 2, ctx.rolloff)
     s_isi = isi_variance(dt_frac, ctx)
     s_n = ctx.noise_var()
     return 10.0 * math.log10(p * p) - 10.0 * math.log10((s_isi + s_n) / s_n)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from decimal import Decimal, InvalidOperation
 
 from . import harness
+
+_MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(text: str) -> tuple:
@@ -14,7 +17,8 @@ def _parse_grid(text: str) -> tuple:
 
     A range holds start + i*step for every i that stays at or below stop.
     Points are computed in decimal and rounded once, so '0:1:0.3' gives
-    0.9, not 0.8999999999999999.
+    0.9, not 0.8999999999999999.  A range must give at most
+    _MAX_GRID_POINTS strictly increasing finite floats in [start, stop].
     """
     if ":" not in text:
         return tuple(float(v) for v in text.split(","))
@@ -32,8 +36,16 @@ def _parse_grid(text: str) -> tuple:
     elif stop < start:
         problem = "stop is below start"
     else:
-        n = int((stop - start) // step) + 1
-        return tuple(float(start + i * step) for i in range(n))
+        try:
+            n = min(int((stop - start) // step) + 1, _MAX_GRID_POINTS + 1)
+            grid = tuple(float(start + i * step) for i in range(n))
+        except ArithmeticError:  # beyond the decimal context's precision or exponent range
+            grid = ()
+        lo, hi = float(start), float(stop)
+        if 0 < len(grid) <= _MAX_GRID_POINTS and all(b > a for a, b in zip(grid, grid[1:])) \
+                and all(math.isfinite(g) and lo <= g <= hi for g in grid):
+            return grid
+        problem = f"points must be 1 to {_MAX_GRID_POINTS} distinct finite floats"
     raise ValueError(f"snr grid {text!r}: {problem}")
 
 

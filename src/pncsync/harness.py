@@ -5,7 +5,7 @@ Scenarios follow the three synchronization levels compared throughout:
   perfect        zero offsets; per-dimension midpoint threshold detection
   phase_unsync   phase offset uniform over [-pi/4, pi/4], drawn per frame
                  and known to the relay, which runs ML xor detection
-  time_unsync    symbol-time offset uniform over [-x, x]*T per frame,
+  time_unsync    symbol-time offset uniform over [-x, x] symbols per frame,
                  mid-offset sampling and threshold detection at the
                  scaled level spacing
 
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analysis, chain, mutual_info
 from .detection import build_hypotheses, ml_xor_bits, threshold_bits
-from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, qpsk_pair_frame,
-                          raised_cosine, time_offset_frame)
+from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, isi_taps,
+                          qpsk_pair_frame, time_offset_frame)
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
 
@@ -76,6 +76,7 @@ class ExperimentConfig:
                                  f"not {self.scenario}")
             if not 0.0 <= self.offset_range <= 0.5:
                 raise ValueError("offset_range must be in [0, 0.5]")
+        self.pulse()  # rolloff in [0, 1] and truncation >= 1, for every command
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.frame_length < 1:
@@ -143,7 +144,10 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _parse_value(key, val.strip())
+            try:
+                out[key] = _parse_value(key, val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 
@@ -153,6 +157,8 @@ def _parse_value(key: str, text: str):
     if key in ("command", "scenario", "output_path"):
         return text
     if key == "chain_halved":
+        if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
         return text.lower() in ("1", "true", "yes", "on")
     if key in ("samples_per_point", "truncation", "master_seed", "workers",
                "frame_length", "chain_nodes"):
@@ -202,9 +208,10 @@ def _ber_time(cfg, snr_db, num_bits, rng):
     err = 0
     for _ in range(nframes):
         dt = draw_time_offset(cfg.effective_offset_range(), rng)
-        scale = 0.5 * raised_cosine(dt / 2, 1.0, pulse.rolloff)
+        _, te, tl = isi_taps(dt, pulse)
+        scale = 0.5 * te[pulse.truncation_symbols]  # half of p(dt/2)
         for _dim in range(2):  # independent I and Q streams, same offset
-            r, truth = time_offset_frame(frame_len, dt, sd_half, pulse, rng)
+            r, truth = time_offset_frame(frame_len, te, tl, sd_half, rng)
             err += int(np.sum(threshold_bits(r, scale) != truth))
     return err, 2 * nframes * frame_len
 

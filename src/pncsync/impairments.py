@@ -3,12 +3,14 @@
 Two impairment classes are modeled, each on its own (they are analyzed and
 simulated separately, never jointly):
 
-  * residual carrier phase/frequency offset between the two arriving
-    signals, folded into a single per-symbol phase in [-pi/4, pi/4) by
-    quadrant symmetry of QPSK;
+  * residual carrier phase offset between the two arriving signals,
+    folded into [-pi/4, pi/4) by quadrant symmetry of QPSK;
   * symbol-time offset between the two arriving pulse trains, with
     raised-cosine pulses and the receiver sampling midway between the two
     symbol centers.
+
+Time is in symbol periods throughout, and `isi_taps` is the one source
+of the mid-offset taps.
 
 The per-frame channel synthesis of the Monte-Carlo runners lives here too:
 the offset draws and the noisy received frames, each drawn from an
@@ -24,37 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 QUARTER = math.pi / 2
-_SING_TOL = 1e-9  # exact-hit window around removable singularities, in units of T
-
-
-@dataclass(frozen=True)
-class SyncOffsets:
-    """Impairment triple: phase offset, per-symbol frequency offset, time offset.
-
-    delta_theta       carrier phase offset, radians
-    delta_omega       frequency offset expressed as radians per symbol
-    time_offset_frac  symbol-time offset as a fraction of T, in [-0.5, 0.5]
-    symbol_duration   T, seconds
-    """
-
-    delta_theta: float = 0.0
-    delta_omega: float = 0.0
-    time_offset_frac: float = 0.0
-    symbol_duration: float = 1.0
-
-    def __post_init__(self):
-        if not abs(self.time_offset_frac) <= 0.5:
-            raise ValueError(f"time_offset_frac must be in [-0.5, 0.5], got {self.time_offset_frac}")
-        if self.symbol_duration <= 0:
-            raise ValueError("symbol_duration must be positive")
-        # one impairment class per scenario
-        if self.time_offset_frac != 0.0 and (self.delta_theta != 0.0 or self.delta_omega != 0.0):
-            raise ValueError("phase/frequency offset and time offset are modeled separately; "
-                             "set one class of offsets per scenario")
-
-    def phase_at(self, k: int) -> float:
-        """Folded effective phase for symbol k: fold(delta_theta + k*delta_omega)."""
-        return fold_phase(self.delta_theta + k * self.delta_omega)[0]
+_SING_TOL = 1e-9  # exact-hit window around removable singularities, in symbol periods
 
 
 @dataclass(frozen=True)
@@ -68,15 +40,15 @@ class PulseShape:
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must be in [0, 1], got {self.rolloff}")
         if self.truncation_symbols < 1:
-            raise ValueError("truncation_symbols must be >= 1")
+            raise ValueError(f"truncation must be >= 1, got {self.truncation_symbols}")
 
 
 def fold_phase(theta: float) -> tuple[float, int]:
     """Reduce a phase to [-pi/4, pi/4) plus a quadrant count k in {0,1,2,3}.
 
     theta = folded + k*pi/2 (mod 2*pi).  Rotating one QPSK symbol by k
-    quadrants undoes the reduction, so detection may always assume a
-    folded offset.
+    quadrants (multiplying it by 1j**k) undoes the reduction, so detection
+    may always assume a folded offset.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -85,30 +57,22 @@ def fold_phase(theta: float) -> tuple[float, int]:
     return folded, k % 4
 
 
-def rotate_symbol(sym: complex, quadrant: int) -> complex:
-    """Rotate a QPSK point by quadrant*pi/2 (multiply by 1j**quadrant, exact)."""
-    if quadrant not in (0, 1, 2, 3):
-        raise ValueError(f"quadrant must be in 0..3, got {quadrant}")
-    return sym * (1j ** quadrant)
-
-
 def superpose_phase_offset(s1: complex, s3: complex, theta: float) -> complex:
     """Noiseless superposition s1 + s3*e^{j*theta} at the relay."""
     return s1 + s3 * cmath.exp(1j * theta)
 
 
-def raised_cosine(t, T: float = 1.0, rolloff: float = 0.5):
-    """Raised-cosine pulse p(t) = sin(pi t/T) cos(pi b t/T) / (pi t/T (1 - 4 b^2 t^2/T^2)).
+def raised_cosine(t, rolloff: float = 0.5):
+    """Raised-cosine pulse p(t) = sin(pi t) cos(pi b t) / (pi t (1 - 4 b^2 t^2)).
 
-    Normalized so p(0) = 1; p(kT) = 0 for nonzero integer k.  The removable
-    singularities at t = 0 and |t| = T/(2b) are evaluated by their limits
-    when t falls within 1e-9*T of them.  Accepts scalars or arrays.
+    t is in symbol periods.  Normalized so p(0) = 1; p(k) = 0 for nonzero
+    integer k.  The removable singularities at t = 0 and |t| = 1/(2b) are
+    evaluated by their limits when t falls within 1e-9 of them.  Accepts
+    scalars or arrays.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must be in [0, 1], got {rolloff}")
-    x = np.asarray(t, dtype=float) / T
+    x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.empty_like(x)
@@ -129,55 +93,30 @@ def raised_cosine(t, T: float = 1.0, rolloff: float = 0.5):
     return float(out[0]) if scalar else out
 
 
-def isi_taps(dt_frac: float, pulse: PulseShape, T: float = 1.0):
+def isi_taps(dt_frac: float, pulse: PulseShape):
     """Pulse taps seen by the mid-offset sampler, one vector per train.
 
-    Returns (lags, taps_early, taps_late) where lags = -L..L and the sample
-    of symbol k picks up a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].
-    The early train is shifted +dt/2 from the sampling comb, the late train
-    -dt/2.
+    dt_frac is the time offset in symbol periods.  Returns (lags,
+    taps_early, taps_late) where lags = -L..L and the sample of symbol k
+    picks up a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].  The
+    early train is shifted +dt/2 from the sampling comb, the late train
+    -dt/2, so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry
+    the desired symbols and, the pulse being even, taps_late is
+    taps_early reversed.
     """
     L = pulse.truncation_symbols
     lags = np.arange(-L, L + 1)
-    taps_early = raised_cosine((lags + dt_frac / 2) * T, T, pulse.rolloff)
-    taps_late = raised_cosine((lags - dt_frac / 2) * T, T, pulse.rolloff)
+    taps_early = raised_cosine(lags + dt_frac / 2, pulse.rolloff)
+    taps_late = raised_cosine(lags - dt_frac / 2, pulse.rolloff)
     return lags, taps_early, taps_late
 
 
-def sample_with_time_offset(a1, a3, k: int, offsets: SyncOffsets, pulse: PulseShape) -> float:
-    """Mid-offset sample of symbol k for two misaligned +-1 pulse trains.
-
-    Implements the matched-filter output sampled halfway between the two
-    trains' symbol centers:
-
-        r[k] = (a1[k]+a3[k]) p(dt/2)/2
-               + 1/2 sum_{l != k, |l-k| <= L} a1[l] p((k-l)T + dt/2)
-                                            + a3[l] p((k-l)T - dt/2)
-
-    Sequences must cover the full ISI window [k-L, k+L].
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a3 = np.asarray(a3, dtype=float)
-    L = pulse.truncation_symbols
-    if k - L < 0 or k + L >= len(a1) or k + L >= len(a3):
-        raise IndexError(f"ISI window [{k - L}, {k + L}] exceeds sequence bounds "
-                         f"(len {len(a1)}, {len(a3)})")
-    T = offsets.symbol_duration
-    _, te, tl = isi_taps(offsets.time_offset_frac, pulse, T)
-    # taps are indexed by lag j = k - l, so reverse the symbol slice
-    seg1 = a1[k - L: k + L + 1][::-1]
-    seg3 = a3[k - L: k + L + 1][::-1]
-    return 0.5 * float(seg1 @ te + seg3 @ tl)
-
-
-def mid_offset_frame(a1, a3, dt_frac: float, pulse: PulseShape) -> np.ndarray:
-    """Vectorized mid-offset samples for a whole frame (zero-padded edges)."""
-    a1 = np.asarray(a1, dtype=float)
-    a3 = np.asarray(a3, dtype=float)
-    if a1.shape != a3.shape:
+def mid_offset_frame(a1, a3, taps_early, taps_late) -> np.ndarray:
+    """Mid-offset samples of a whole frame from `isi_taps` taps (zero-padded edges)."""
+    if np.shape(a1) != np.shape(a3):
         raise ValueError("trains must have equal length")
-    _, te, tl = isi_taps(dt_frac, pulse)
-    return 0.5 * (np.convolve(a1, te, mode="same") + np.convolve(a3, tl, mode="same"))
+    return 0.5 * (np.convolve(a1, taps_early, mode="same")
+                  + np.convolve(a3, taps_late, mode="same"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +129,7 @@ def draw_phase_offset(rng: np.random.Generator) -> float:
 
 
 def draw_time_offset(half_range: float, rng: np.random.Generator) -> float:
-    """One frame's time offset dt/T: uniform over [-x, x]; x = 0 draws nothing."""
+    """One frame's time offset dt, in symbols: uniform over [-x, x]; x = 0 draws nothing."""
     return float(rng.uniform(-half_range, half_range)) if half_range > 0 else 0.0
 
 
@@ -206,16 +145,15 @@ def qpsk_pair_frame(n: int, theta: float, sd: float, rng: np.random.Generator):
     return r, i1 ^ i3, q1 ^ q3
 
 
-def time_offset_frame(n: int, dt_frac: float, sd: float, pulse: PulseShape,
-                      rng: np.random.Generator):
+def time_offset_frame(n: int, taps_early, taps_late, sd: float, rng: np.random.Generator):
     """n noisy mid-offset samples of one real dimension: (r, true xor bits).
 
-    Draws two +-1 trains of n + 2L symbols (L = truncation window), then
-    N(0, sd^2) noise on the middle n samples.
+    Given the frame's `isi_taps` taps, draws two +-1 trains of n + 2L
+    symbols (L = truncation window), then N(0, sd^2) noise on the middle n.
     """
-    L = pulse.truncation_symbols
+    L = len(taps_early) // 2
     a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
     a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-    r = mid_offset_frame(a1, a3, dt_frac, pulse)[L:L + n]
+    r = mid_offset_frame(a1, a3, taps_early, taps_late)[L:L + n]
     r = r + sd * rng.standard_normal(n)
     return r, (a1[L:L + n] != a3[L:L + n]).astype(np.int8)

@@ -95,12 +95,12 @@ def _window_isi_atoms(taps_early, taps_late, lags, window: int):
 
 
 def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
-                   rng: np.random.Generator, pulse: PulseShape | None = None,
+                   rng: np.random.Generator, pulse: PulseShape = PulseShape(),
                    frame_len: int = 1000) -> float:
     """Per-dimension xor information with a random symbol-time offset.
 
-    Per frame the offset is drawn uniform over [-x, x]*T, a +-1 frame is
-    synthesized through the mid-offset sampler for each train, and the
+    Per frame the offset is drawn uniform over [-x, x] symbols, a +-1
+    frame is synthesized through the mid-offset sampler, and the
     information of the current xor bit given the scalar sample is
     accumulated.  Neighbor bits are channel randomness, not known: the
     conditional densities mix the exactly enumerated ISI of the
@@ -109,8 +109,6 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
     """
     if not 0.0 <= dt_half_range <= 0.5:
         raise ValueError(f"dt_half_range must be in [0, 0.5], got {dt_half_range}")
-    if pulse is None:
-        pulse = PulseShape()
     sd_half = 0.5 * 10.0 ** (-snr_db / 20.0)  # half-amplitude convention
     L = pulse.truncation_symbols
     nframes = max(1, math.ceil(num_samples / frame_len))
@@ -118,7 +116,7 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
     for _ in range(nframes):
         dt = draw_time_offset(dt_half_range, rng)
         lags, te, tl = isi_taps(dt, pulse)
-        r, xbit = time_offset_frame(frame_len, dt, sd_half, pulse, rng)
+        r, xbit = time_offset_frame(frame_len, te, tl, sd_half, rng)
 
         level = te[L]  # p(dt/2); per-dim levels are 0 and +-2*(level/2)
         atoms, tail_var = _window_isi_atoms(te, tl, lags, _ENUM_WINDOW)

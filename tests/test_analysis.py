@@ -98,8 +98,8 @@ def test_isi_variance_matches_monte_carlo():
     dt = 0.5
     L = CTX.truncation_symbols
     lags = np.concatenate([np.arange(-L, 0), np.arange(1, L + 1)])
-    pe = analysis.raised_cosine(lags + dt / 2, 1.0, CTX.rolloff)
-    pl = analysis.raised_cosine(lags - dt / 2, 1.0, CTX.rolloff)
+    pe = analysis.raised_cosine(lags + dt / 2, CTX.rolloff)
+    pl = analysis.raised_cosine(lags - dt / 2, CTX.rolloff)
     n = 1_000_000
     s1 = rng.integers(0, 2, (n, lags.size)) * 2 - 1
     s3 = rng.integers(0, 2, (n, lags.size)) * 2 - 1

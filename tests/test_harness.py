@@ -1,12 +1,16 @@
 import math
+import re
+from dataclasses import fields
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from pncsync import harness
 from pncsync.cli import _parse_grid, main as cli_main
-from pncsync.impairments import mid_offset_frame, raised_cosine
+from pncsync.impairments import isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
 from pncsync.harness import (
     BerResult,
@@ -46,7 +50,7 @@ def test_config_defaults_valid():
     assert cfg.snr_grid_db[0] == 0.0 and cfg.snr_grid_db[-1] == 12.0
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(command="nope")
     with pytest.raises(ValueError):
@@ -72,6 +76,25 @@ def test_config_validation():
     ExperimentConfig(scenario="time_unsync", offset_range=0.2)
     # penalty/chain commands are not statistical; small samples allowed
     ExperimentConfig(command="penalty", samples_per_point=1)
+    # the pulse is range-checked for every command and scenario
+    for command in harness.COMMANDS:
+        for bad in (7.0, -3.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="rolloff"):
+                ExperimentConfig(command=command, rolloff=bad, samples_per_point=1000)
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="truncation"):
+                ExperimentConfig(command=command, truncation=bad, samples_per_point=1000)
+        for edge in (0.0, 1.0):
+            ExperimentConfig(command=command, rolloff=edge, truncation=1)
+    for argv in (["ber", "--scenario", "perfect", "--rolloff", "7", "--snr-grid", "4"],
+                 ["mi", "--scenario", "phase_unsync", "--rolloff", "-3", "--snr-grid", "4"],
+                 ["penalty", "--rolloff", "1.5"]):
+        with pytest.raises(ValueError, match="rolloff must be in"):
+            cli_main(argv)
+    p = tmp_path / "t0.cfg"
+    p.write_text("command = penalty\ntruncation = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        cli_main(["penalty", "--config", str(p)])
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -102,6 +125,115 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     p.write_text("no_such_key = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         parse_config_file(p)
+
+
+def test_config_file_booleans_are_strict(tmp_path):
+    p = tmp_path / "b.cfg"
+    for word, want in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                       ("0", False), ("False", False), ("NO", False), ("Off", False)):
+        p.write_text(f"chain_halved = {word}\n", encoding="utf-8")
+        assert parse_config_file(p) == {"chain_halved": want}
+    for word in ("flase", "tru", "2", "y", "enabled"):
+        p.write_text(f"# halving\nchain_halved = {word}\n", encoding="utf-8")
+        msg = re.escape(f"{p}:2: bad value for 'chain_halved'")
+        with pytest.raises(ValueError, match=msg):
+            parse_config_file(p)
+
+
+def test_config_file_bad_value_names_line_and_key(tmp_path):
+    p = tmp_path / "v.cfg"
+    for key, text in (("workers", "x"), ("workers", "1.5"), ("rolloff", "half"),
+                      ("snr_grid_db", "0 2 x"), ("chain_local_errors", "0.1,,b")):
+        p.write_text(f"command = ber\n\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:3: bad value for '{key}'")):
+            parse_config_file(p)
+
+
+# config-file fuzzing: valid documents round-trip; one bad line is named by path:line
+
+_INT_KEYS = ("samples_per_point", "truncation", "master_seed", "workers", "frame_length",
+             "chain_nodes")
+_FLOAT_KEYS = ("offset_range", "rolloff", "chain_bg_time", "chain_period")
+_TUPLE_KEYS = ("snr_grid_db", "chain_local_errors")
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+_NAME = st.text("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._-/", min_size=1, max_size=20)
+
+
+def _value_and_text(key):
+    """Strategy of (typed value, config text) for one key."""
+    floats = st.floats(allow_nan=False)
+    if key in _INT_KEYS:
+        return st.integers(-10**12, 10**12).map(lambda v: (v, str(v)))
+    if key in _FLOAT_KEYS:
+        return floats.map(lambda v: (v, repr(v)))
+    if key in _TUPLE_KEYS:
+        return st.tuples(st.lists(floats, max_size=6), st.sampled_from([" ", ", ", ","])) \
+            .map(lambda t: (tuple(t[0]), t[1].join(map(repr, t[0]))))
+    if key == "chain_halved":
+        upper = st.lists(st.booleans(), min_size=5, max_size=5)  # per letter, any case
+        return st.tuples(st.sampled_from(_TRUE + _FALSE), upper).map(lambda t: (
+            t[0] in _TRUE, "".join(c.upper() if u else c for c, u in zip(*t))))
+    if key == "command":
+        return st.sampled_from(harness.COMMANDS).map(lambda v: (v, v))
+    if key == "scenario":
+        return st.sampled_from(harness.SCENARIOS).map(lambda v: (v, v))
+    return _NAME.map(lambda v: (v, v))
+
+
+@st.composite
+def _documents(draw):
+    """(expected dict, list of config lines) for a random valid document."""
+    keys = draw(st.lists(st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+                         unique=True))
+    want, lines = {}, []
+    for key in keys:
+        value, text = draw(_value_and_text(key))
+        sep = draw(st.sampled_from([" = ", "=", ": ", " :"]))
+        tail = draw(st.sampled_from(["", "  ", " # note"]))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+        lines.append(f"{key}{sep}{text}{tail}")
+        want[key] = value
+    return want, lines
+
+
+def _bad_line(kind, draw):
+    if kind == "unknown":
+        key = draw(_NAME.filter(lambda k: k not in {f.name for f in fields(ExperimentConfig)}
+                                and "=" not in k and ":" not in k))
+        return key, f"{key} = 1", "unknown key"
+    key = draw(st.sampled_from(_INT_KEYS + _FLOAT_KEYS + _TUPLE_KEYS + ("chain_halved",)))
+    if key == "chain_halved":
+        text = draw(st.text("abcdefnorstuy23", min_size=1, max_size=6)
+                    .filter(lambda w: w not in _TRUE + _FALSE))
+    elif key in _TUPLE_KEYS:
+        text = draw(st.sampled_from(["1 x", "a", "1,,b", "0 2 nine"]))
+    else:
+        text = draw(st.sampled_from(["x", "one", "1.2.3", "--1", "0x10"]
+                                    + (["1.5", "1e3"] if key in _INT_KEYS else [])))
+    return key, f"{key} = {text}", f"bad value for '{key}'"
+
+
+@given(_documents())
+def test_config_file_fuzz_roundtrip(tmp_path_factory, doc):
+    want, lines = doc
+    p = tmp_path_factory.mktemp("fuzz") / "doc.cfg"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert parse_config_file(p) == want
+
+
+@given(_documents(), st.sampled_from(["unknown", "value"]), st.data())
+def test_config_file_fuzz_rejects_with_path_and_line(tmp_path_factory, doc, kind, data):
+    _, lines = doc
+    key, bad, why = _bad_line(kind, data.draw)
+    at = data.draw(st.integers(0, len(lines)))
+    lines = lines[:at] + [bad] + lines[at:]
+    p = tmp_path_factory.mktemp("fuzz") / "doc.cfg"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        parse_config_file(p)
+    msg = str(exc.value)
+    assert msg.startswith(f"{p}:{at + 1}: ") and why in msg and key in msg
 
 
 def test_ber_result_invariants():
@@ -192,11 +324,12 @@ def test_ber_streams_are_keyed_by_command_scenario_point_batch():
         rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(0, 2, 1, b)))
         for _frame in range(3):
             dt = rng.uniform(-0.3, 0.3)
-            scale = 0.5 * raised_cosine(dt / 2, 1.0, 0.5)
+            scale = 0.5 * raised_cosine(dt / 2, 0.5)
+            _, te, tl = isi_taps(dt, pulse)
             for _dim in range(2):
                 a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
                 a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-                r = (mid_offset_frame(a1, a3, dt, pulse)[L:L + n]
+                r = (mid_offset_frame(a1, a3, te, tl)[L:L + n]
                      + sd * rng.standard_normal(n))
                 err += int(np.sum((np.abs(r) <= scale) != (a1[L:L + n] != a3[L:L + n])))
                 tot += n
@@ -353,6 +486,7 @@ def test_cli_grid_points_are_exact_decimals():
     assert _parse_grid("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
     assert _parse_grid("4:8") == (4.0, 5.0, 6.0, 7.0, 8.0)
     assert _parse_grid("0:1:0.6") == (0.0, 0.6)  # stop is an upper bound
+    assert _parse_grid("0.3:0.9:0.3") == (0.3, 0.6, 0.9)  # float(0.3) < Decimal 0.3
     assert _parse_grid("5,10") == (5.0, 10.0)
     # grids on binary fractions keep the floats start + i*step
     for text in ("0:15:0.5", "7:9:0.25", "3:6:0.5", "11:15:0.5", "0:14:1",
@@ -365,6 +499,36 @@ def test_cli_grid_points_are_exact_decimals():
 @pytest.mark.parametrize("text", ["0:10:0", "0:10:-1", "10:0:1", "a:b:c", "0:1:0.5:2",
                                   "nan:1:1", "0:inf:1"])
 def test_cli_grid_rejects_degenerate_ranges(text):
+    with pytest.raises(ValueError, match=f"snr grid '{text}'"):
+        _parse_grid(text)
+
+
+_NUMBER = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.decimals().map(str),
+    st.from_regex(r"[-+]?\d{0,35}(\.\d{0,35})?([eE][-+]?\d{1,9})?", fullmatch=True),
+    st.text("0123456789.-+eEinfa_ ", max_size=10),
+)
+
+
+@given(st.lists(_NUMBER, min_size=2, max_size=4))
+def test_cli_grid_fuzz_gives_increasing_finite_points_in_range(parts):
+    text = ":".join(parts)
+    try:
+        grid = _parse_grid(text)
+    except ValueError:
+        return
+    start, stop = (float(Decimal(v)) for v in parts[:2])
+    assert isinstance(grid, tuple) and grid
+    assert all(isinstance(g, float) and math.isfinite(g) for g in grid)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert start <= grid[0] and grid[-1] <= stop
+
+
+@pytest.mark.parametrize("text", ["0:1e12:1e-12", "0:1e30:1e-30", "1e400:1e400:1",
+                                  "0.1:0.1000000000000000000000000000002:1e-31"])
+def test_cli_grid_rejects_unbounded_or_collapsing_ranges(text):
     with pytest.raises(ValueError, match=f"snr grid '{text}'"):
         _parse_grid(text)
 
