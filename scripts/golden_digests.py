@@ -16,6 +16,9 @@ checked-in one is scripts/golden_digests.txt), names every case that
 differs or is missing, and exits non-zero if any does:
 
     PYTHONPATH=src python scripts/golden_digests.py --check scripts/golden_digests.txt
+
+--cases NAME... computes only the named cases (with --check, only those
+are compared); tests/test_golden.py checks the fast closed-form ones so.
 """
 
 import argparse
@@ -113,8 +116,8 @@ def cases() -> dict:
     return out
 
 
-def digests() -> dict:
-    """{case: sha256 hex digest of its output file}, in case order."""
+def digests(names=None) -> dict:
+    """{case: sha256 hex digest of its output file}, in case order; all cases or `names`."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         todo = cases()
@@ -124,6 +127,8 @@ def digests() -> dict:
                 fh.write(text)
             todo[name] = argv + ["--config", cfg]
         for name, argv in todo.items():
+            if names is not None and name not in names:
+                continue
             path = os.path.join(tmp, name + ".csv")
             with contextlib.redirect_stdout(io.StringIO()):
                 pnc(argv + ["--out", path])
@@ -132,13 +137,17 @@ def digests() -> dict:
     return out
 
 
-def check(listing: str, got: dict) -> list:
-    """One message per case whose digest differs from the listing's or is absent."""
+def check(listing: str, got: dict, complete: bool = True) -> list:
+    """One message per case whose digest differs from the listing's or is absent.
+
+    With complete=False, `got` is a subset and listed cases it lacks are fine.
+    """
     want = dict(line.split() for line in listing.splitlines() if line.strip())
     bad = [f"{name}: expected {want[name]}, got {digest}"
            for name, digest in got.items() if name in want and want[name] != digest]
     bad += [f"{name}: not in the listing" for name in got if name not in want]
-    bad += [f"{name}: listed but not computed" for name in want if name not in got]
+    if complete:
+        bad += [f"{name}: listed but not computed" for name in want if name not in got]
     return bad
 
 
@@ -146,14 +155,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", metavar="FILE",
                     help="compare with this listing instead of printing one")
+    ap.add_argument("--cases", nargs="+", metavar="NAME", choices=[*cases(), *CONFIGS],
+                    help="only these cases")
     args = ap.parse_args(argv)
-    got = digests()
+    got = digests(args.cases)
     if args.check is None:
         for name, digest in got.items():
             print(f"{name} {digest}")
         return 0
     with open(args.check, encoding="utf-8") as fh:
-        bad = check(fh.read(), got)
+        bad = check(fh.read(), got, complete=args.cases is None)
     for msg in bad:
         print(msg)
     print(f"{len(bad)} case(s) differ from {args.check}" if bad

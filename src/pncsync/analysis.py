@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import PulseShape, isi_taps, raised_cosine
+from .impairments import PulseShape, _mid_offset_taps, raised_cosine
 
 # 1-D chain SIR of the PNC schedule, carried as an input constant for the
 # scheme comparison footer (not recomputed here).
 PNC_1D_SIR_DB = 15.3
+
+# offsets per tap grid in isi_variance; bounds its temporaries to a few (64, 2L+1) arrays
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -120,33 +123,58 @@ def sir_1d_traditional_db(alpha: float, max_terms: int = 100_000) -> float:
     return 10.0 * math.log10(1.0 / total)
 
 
-def isi_variance(dt_frac: float, ctx: SinrContext) -> float:
+def isi_variance(dt_frac, ctx: SinrContext):
     """Variance of the mid-offset ISI for i.i.d. equiprobable +-1 symbols.
 
     Independence kills every cross term, leaving the sum of squared pulse
     tails of both trains:  sum_{0 < |l| <= L} p(l + dt/2)^2 + p(l - dt/2)^2
     (unit tap amplitudes; any common amplitude scaling cancels in the SINR
     ratio).
+
+    dt_frac is a scalar (returns a float) or a 1-D array of offsets
+    (returns an array), evaluated _GRID_BLOCK offsets at a time so the tap
+    grid stays small.  Each row is summed on its own with np.add.reduce:
+    a 1-D reduce adds pairwise, while np.sum(axis=1) over the block adds
+    in another order and moves the last bit of many rows.  So an array
+    call gives, element by element, the bits of the scalar call.
     """
-    if abs(dt_frac) > 0.5:
-        raise ValueError(f"|dt_frac| must be <= 0.5, got {dt_frac}")
-    lags, te, tl = isi_taps(dt_frac, ctx.pulse())
-    tails = lags != 0
-    return float(np.sum(te[tails] ** 2) + np.sum(tl[tails] ** 2))
+    dt = np.asarray(dt_frac, dtype=float)
+    bad = dt[np.abs(dt) > 0.5]
+    if bad.size:
+        raise ValueError(f"|dt_frac| must be <= 0.5, got {bad.flat[0]}")
+    pulse = ctx.pulse()
+    flat = np.atleast_1d(dt)
+    out = np.empty(flat.shape)
+    for start in range(0, len(flat), _GRID_BLOCK):
+        lags, te, tl = _mid_offset_taps(flat[start:start + _GRID_BLOCK], pulse)
+        tails = lags != 0
+        for i, (early, late) in enumerate(zip(te[:, tails] ** 2, tl[:, tails] ** 2),
+                                          start):
+            out[i] = np.add.reduce(early) + np.add.reduce(late)
+    return float(out[0]) if dt.ndim == 0 else out
 
 
-def sinr_linear(dt_frac: float, ctx: SinrContext) -> float:
-    """Linear SINR at one time offset: p(dt/2)^2 / (isi_variance + noise_var)."""
-    p = raised_cosine(dt_frac / 2, ctx.rolloff)
+def sinr_linear(dt_frac, ctx: SinrContext):
+    """Linear SINR p(dt/2)^2 / (isi_variance + noise_var); scalar or 1-D array dt."""
+    p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
     return p * p / (isi_variance(dt_frac, ctx) + ctx.noise_var())
 
 
-def sinr_penalty_db(dt_frac: float, ctx: SinrContext) -> float:
-    """SINR penalty vs the reference SNR: signal loss plus ISI noise raise."""
-    p = raised_cosine(dt_frac / 2, ctx.rolloff)
+def sinr_penalty_db(dt_frac, ctx: SinrContext):
+    """SINR penalty vs the reference SNR: signal loss plus ISI noise raise.
+
+    Takes a scalar (returns a float) or a 1-D array of offsets (returns an
+    array).  The logarithms are math.log10 per element, not np.log10,
+    whose SIMD kernel differs from the C library's in the last bit of
+    some values; so an array call matches the scalar call bit for bit.
+    """
+    p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
     s_isi = isi_variance(dt_frac, ctx)
     s_n = ctx.noise_var()
-    return 10.0 * math.log10(p * p) - 10.0 * math.log10((s_isi + s_n) / s_n)
+    signal = np.atleast_1d(p * p).tolist()
+    raise_ = np.atleast_1d((s_isi + s_n) / s_n).tolist()
+    vals = [10.0 * math.log10(a) - 10.0 * math.log10(b) for a, b in zip(signal, raise_)]
+    return vals[0] if np.ndim(dt_frac) == 0 else np.array(vals)
 
 
 def avg_sinr_penalty_db(ctx: SinrContext, num_points: int = 1001) -> float:
@@ -159,15 +187,14 @@ def avg_sinr_penalty_db(ctx: SinrContext, num_points: int = 1001) -> float:
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
     taus = np.linspace(-0.5, 0.5, num_points)
-    vals = np.array([sinr_linear(t, ctx) for t in taus])
-    mean = np.trapezoid(vals, taus)  # interval has unit width
+    mean = np.trapezoid(sinr_linear(taus, ctx), taus)  # interval has unit width
     return 10.0 * math.log10(mean) - ctx.snr0_db
 
 
 def worst_sinr_penalty_db(ctx: SinrContext, num_points: int = 1001) -> float:
     """Most negative SINR penalty over dt/T in [-0.5, 0.5] (grid minimum)."""
     taus = np.linspace(0.0, 0.5, num_points)  # even in dt
-    return min(sinr_penalty_db(t, ctx) for t in taus)
+    return min(sinr_penalty_db(taus, ctx).tolist())
 
 
 def emit_penalty_curves(ctx: SinrContext,
@@ -180,6 +207,5 @@ def emit_penalty_curves(ctx: SinrContext,
         tuple((float(t), phase_penalty_db(float(t))) for t in thetas))
     taus = np.linspace(-0.5, 0.5, dt_points)
     timec = PenaltyCurve(
-        "dt_over_T",
-        tuple((float(t), sinr_penalty_db(float(t), ctx)) for t in taus))
+        "dt_over_T", tuple(zip(taus.tolist(), sinr_penalty_db(taus, ctx).tolist())))
     return [phase, timec]

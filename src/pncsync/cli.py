@@ -120,12 +120,17 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    ov = _overrides(args)
-    if args.config:
-        cfg = harness.config_from_file(args.config, **ov)
-    else:
-        cfg = harness.ExperimentConfig(**ov)
+    """Run one `pnc` command; bad input exits 2 with a one-line message, as argparse does."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        ov = _overrides(args)
+        if args.config:
+            cfg = harness.config_from_file(args.config, **ov)
+        else:
+            cfg = harness.ExperimentConfig(**ov)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if cfg.command == "ber":
         results = harness.run_ber(cfg)

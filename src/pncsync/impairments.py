@@ -9,8 +9,9 @@ simulated separately, never jointly):
     raised-cosine pulses and the receiver sampling midway between the two
     symbol centers.
 
-Time is in symbol periods throughout, and `isi_taps` is the one source
-of the mid-offset taps.
+Time is in symbol periods throughout, and `_mid_offset_taps` is the one
+source of the mid-offset taps: `isi_taps` for one offset per frame, the
+closed-form analysis for whole offset grids.
 
 The per-frame channel synthesis of the Monte-Carlo runners lives here too:
 the offset draws and the noisy received frames, each drawn from an
@@ -93,28 +94,47 @@ def raised_cosine(t, rolloff: float = 0.5):
     return float(out[0]) if scalar else out
 
 
-def isi_taps(dt_frac: float, pulse: PulseShape):
-    """Pulse taps seen by the mid-offset sampler, one vector per train.
+def _mid_offset_taps(dt_frac, pulse: PulseShape):
+    """`isi_taps` for a scalar or a 1-D array of offsets (one row of taps per offset).
 
-    dt_frac is the time offset in symbol periods.  Returns (lags,
-    taps_early, taps_late) where lags = -L..L and the sample of symbol k
-    picks up a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].  The
-    early train is shifted +dt/2 from the sampling comb, the late train
-    -dt/2, so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry
-    the desired symbols and, the pulse being even, taps_late is
-    taps_early reversed.
+    Broadcasts `lags +- dt/2` to shape dt.shape + (2L+1,) and evaluates the
+    pulse elementwise, so each row is bit-identical to the scalar taps.
     """
     L = pulse.truncation_symbols
     lags = np.arange(-L, L + 1)
-    taps_early = raised_cosine(lags + dt_frac / 2, pulse.rolloff)
-    taps_late = raised_cosine(lags - dt_frac / 2, pulse.rolloff)
+    half = np.asarray(dt_frac, dtype=float)[..., None] / 2
+    taps_early = raised_cosine(lags + half, pulse.rolloff)
+    taps_late = raised_cosine(lags - half, pulse.rolloff)
     return lags, taps_early, taps_late
 
 
+def isi_taps(dt_frac: float, pulse: PulseShape):
+    """Pulse taps seen by the mid-offset sampler, one vector per train.
+
+    dt_frac is one time offset in symbol periods (a scalar; offset grids go
+    through `_mid_offset_taps`).  Returns (lags, taps_early, taps_late)
+    where lags = -L..L and the sample of symbol k picks up
+    a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].  The early
+    train is shifted +dt/2 from the sampling comb, the late train -dt/2,
+    so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry the
+    desired symbols and, the pulse being even, taps_late is taps_early
+    reversed.
+    """
+    return _mid_offset_taps(float(dt_frac), pulse)
+
+
 def mid_offset_frame(a1, a3, taps_early, taps_late) -> np.ndarray:
-    """Mid-offset samples of a whole frame from `isi_taps` taps (zero-padded edges)."""
+    """Mid-offset samples of a whole frame from `isi_taps` taps (zero-padded edges).
+
+    Returns one sample per symbol.  The trains must be longer than 2L
+    symbols (2L+1 taps): on shorter ones mode="same" would return one
+    sample per tap instead.
+    """
     if np.shape(a1) != np.shape(a3):
         raise ValueError("trains must have equal length")
+    if len(a1) <= len(taps_early) - 1:
+        raise ValueError(f"trains must be longer than 2L = {len(taps_early) - 1} "
+                         f"symbols, got {len(a1)}")
     return 0.5 * (np.convolve(a1, taps_early, mode="same")
                   + np.convolve(a3, taps_late, mode="same"))
 

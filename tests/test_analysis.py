@@ -15,10 +15,13 @@ from pncsync.analysis import (
     isi_variance,
     min_distance_sq,
     phase_penalty_db,
+    sinr_linear,
     sinr_penalty_db,
     sir_1d_traditional_db,
     worst_sinr_penalty_db,
 )
+from pncsync.impairments import isi_taps
+from test_impairments import _bench_rolloffs
 
 CTX = SinrContext(snr0_db=10.0, rolloff=0.5, truncation_symbols=16)
 
@@ -173,3 +176,103 @@ def test_penalty_curve_validation():
         PenaltyCurve("x", ((0.0, 1.0), (0.0, 2.0)))
     with pytest.raises(ValueError):
         PenaltyCurve("x", ((0.0, math.inf),))
+
+
+# ---------------------------------------------------------------------------
+# offset grids as arrays: bit for bit the scalar formulas, one offset at a time
+#
+# The oracles are the scalar loops the grid code replaced: one isi_taps call,
+# two 1-D np.sum calls and math.log10 per offset.
+
+
+def _oracle_isi_variance(dt, ctx):
+    lags, te, tl = isi_taps(dt, ctx.pulse())
+    tails = lags != 0
+    return float(np.sum(te[tails] ** 2) + np.sum(tl[tails] ** 2))
+
+
+def _oracle_sinr_linear(dt, ctx):
+    p = analysis.raised_cosine(dt / 2, ctx.rolloff)
+    return p * p / (_oracle_isi_variance(dt, ctx) + ctx.noise_var())
+
+
+def _oracle_sinr_penalty_db(dt, ctx):
+    p = analysis.raised_cosine(dt / 2, ctx.rolloff)
+    s_n = ctx.noise_var()
+    return (10.0 * math.log10(p * p)
+            - 10.0 * math.log10((_oracle_isi_variance(dt, ctx) + s_n) / s_n))
+
+
+def _oracle_avg(ctx, num_points):
+    taus = np.linspace(-0.5, 0.5, num_points)
+    vals = np.array([_oracle_sinr_linear(t, ctx) for t in taus])
+    return 10.0 * math.log10(np.trapezoid(vals, taus)) - ctx.snr0_db
+
+
+def _oracle_worst(ctx, num_points):
+    return min(_oracle_sinr_penalty_db(t, ctx) for t in np.linspace(0.0, 0.5, num_points))
+
+
+def _oracle_time_curve(ctx, num_points):
+    return tuple((float(t), _oracle_sinr_penalty_db(float(t), ctx))
+                 for t in np.linspace(-0.5, 0.5, num_points))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+GRIDS = (np.linspace(-0.5, 0.5, 1001), np.linspace(0.0, 0.5, 1001))
+# the array call covers the whole grid; scalar calls (about 0.1 ms each)
+# check every 50th offset, which lands in each block of rows
+CHECKED = list(range(0, 1001, 50))
+ALL_ROLLOFFS = (0.0,) + _bench_rolloffs()
+
+
+def _assert_grid_matches(fn, oracle, ctx, grid):
+    got = fn(grid, ctx)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    for i in CHECKED:
+        scalar = fn(grid[i], ctx)
+        assert isinstance(scalar, float)
+        assert _bits(got[i]) == _bits(scalar) == _bits(oracle(grid[i], ctx)), \
+            (fn.__name__, ctx, grid[i])
+
+
+@pytest.mark.parametrize("rolloff", ALL_ROLLOFFS)
+def test_isi_variance_array_is_the_scalar_call_bit_for_bit(rolloff):
+    for L in (1, 8, 16, 40):
+        ctx = SinrContext(10.0, rolloff, L)
+        for grid in GRIDS:
+            _assert_grid_matches(isi_variance, _oracle_isi_variance, ctx, grid)
+
+
+@pytest.mark.parametrize("rolloff", ALL_ROLLOFFS)
+def test_sinr_arrays_are_the_scalar_calls_bit_for_bit(rolloff):
+    # every roll-off at the default truncation; the other truncations at
+    # the roll-off edges and the default
+    for L in (1, 8, 16, 40) if rolloff in (0.0, 0.5, 1.0) else (16,):
+        ctx = SinrContext(10.0, rolloff, L)
+        for grid in GRIDS:
+            _assert_grid_matches(sinr_linear, _oracle_sinr_linear, ctx, grid)
+            _assert_grid_matches(sinr_penalty_db, _oracle_sinr_penalty_db, ctx, grid)
+
+
+def test_isi_variance_array_checks_every_offset():
+    with pytest.raises(ValueError, match="0.6"):
+        isi_variance(np.array([0.0, 0.2, -0.6]), CTX)
+    assert isi_variance(np.array([]), CTX).shape == (0,)
+
+
+@pytest.mark.parametrize("ctx", [CTX, SinrContext(10.0, 0.35, 8), SinrContext(3.0, 0.0, 1)],
+                         ids=["default", "r035_t8", "r0_t1"])
+@pytest.mark.parametrize("num_points", (2, 101, 1001))
+def test_penalty_sweeps_match_the_scalar_loops_bit_for_bit(ctx, num_points):
+    assert _bits(avg_sinr_penalty_db(ctx, num_points)) == _bits(_oracle_avg(ctx, num_points))
+    assert _bits(worst_sinr_penalty_db(ctx, num_points)) == \
+        _bits(_oracle_worst(ctx, num_points))
+    _, timec = emit_penalty_curves(ctx, theta_points=3, dt_points=num_points)
+    want = _oracle_time_curve(ctx, num_points)
+    assert [tuple(map(_bits, pt)) for pt in timec.points] == \
+        [tuple(map(_bits, pt)) for pt in want]
+    assert all(type(v) is float for pt in timec.points for v in pt)

@@ -40,6 +40,16 @@ def perfect_ber_theory(snr_db):
     return 1.5 * qfunc(1.0 / s) - 0.5 * qfunc(3.0 / s)
 
 
+def cli_usage_error(argv, capsys) -> str:
+    """The one-line message `pnc` exits 2 with on bad input, without a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -50,7 +60,7 @@ def test_config_defaults_valid():
     assert cfg.snr_grid_db[0] == 0.0 and cfg.snr_grid_db[-1] == 12.0
 
 
-def test_config_validation(tmp_path):
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         ExperimentConfig(command="nope")
     with pytest.raises(ValueError):
@@ -89,12 +99,14 @@ def test_config_validation(tmp_path):
     for argv in (["ber", "--scenario", "perfect", "--rolloff", "7", "--snr-grid", "4"],
                  ["mi", "--scenario", "phase_unsync", "--rolloff", "-3", "--snr-grid", "4"],
                  ["penalty", "--rolloff", "1.5"]):
-        with pytest.raises(ValueError, match="rolloff must be in"):
-            cli_main(argv)
+        assert re.fullmatch(r"pnc: error: rolloff must be in .*", cli_usage_error(argv, capsys))
     p = tmp_path / "t0.cfg"
     p.write_text("command = penalty\ntruncation = 0\n", encoding="utf-8")
+    assert cli_usage_error(["penalty", "--config", str(p)], capsys) == \
+        "pnc: error: truncation must be >= 1, got 0"
+    # library callers still get the ValueError
     with pytest.raises(ValueError, match="truncation must be >= 1"):
-        cli_main(["penalty", "--config", str(p)])
+        config_from_file(p)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -534,9 +546,14 @@ def test_cli_grid_rejects_unbounded_or_collapsing_ranges(text):
 
 
 @pytest.mark.parametrize("grid", ["nan", "0,inf"])
-def test_cli_rejects_non_finite_snr(grid):
-    with pytest.raises(ValueError, match="finite"):
-        cli_main(["ber", "--snr-grid", grid, "--samples", "2000"])
+def test_cli_rejects_non_finite_snr(grid, capsys):
+    msg = cli_usage_error(["ber", "--snr-grid", grid, "--samples", "2000"], capsys)
+    assert msg.startswith("pnc: error: ") and "finite" in msg
+
+
+def test_cli_bad_grid_exits_2_with_one_line(capsys):
+    assert cli_usage_error(["ber", "--snr-grid", "5:1"], capsys) == \
+        "pnc: error: snr grid '5:1': stop is below start"
 
 
 def test_cli_mi_smoke(tmp_path):

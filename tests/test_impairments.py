@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from pncsync.impairments import (
     PulseShape,
+    _mid_offset_taps,
     draw_phase_offset,
     draw_time_offset,
     fold_phase,
@@ -199,6 +200,27 @@ def test_frame_sampler_matches_scalar_op():
                                          abs=1e-12)
 
 
+@pytest.mark.parametrize("L", (1, 3, 16))
+def test_short_trains_are_rejected(L):
+    # trains of at most 2L symbols are rejected; the shortest accepted one,
+    # 2L+1 symbols, gives one sample per symbol, the oracle's sum clipped to the train
+    pulse = PulseShape(0.5, L)
+    _, te, tl = isi_taps(0.1, pulse)
+    rng = np.random.default_rng(L)
+    for n in range(1, 2 * L + 1):
+        a = rng.integers(0, 2, n) * 2 - 1
+        with pytest.raises(ValueError, match=f"longer than 2L = {2 * L} symbols, got {n}"):
+            mid_offset_frame(a, a, te, tl)
+    n = 2 * L + 1
+    a1 = rng.integers(0, 2, n) * 2 - 1
+    a3 = rng.integers(0, 2, n) * 2 - 1
+    for dt in (0.1, -0.37, 0.5):
+        frame = _frame(a1, a3, dt, pulse)
+        assert frame.shape == (n,), dt
+        want = [_waveform_oracle(a1, a3, k, dt, 0.5, span=L) for k in range(n)]
+        np.testing.assert_allclose(frame, want, rtol=0, atol=1e-12)
+
+
 def test_isi_taps_center_is_signal_tap():
     pulse = PulseShape(0.5, 16)
     lags, te, tl = isi_taps(0.4, pulse)
@@ -232,6 +254,25 @@ def test_isi_taps_late_is_early_reversed_bit_for_bit(rolloff):
             _, te, tl = isi_taps(dt, pulse)
             assert np.array_equal(te.view(np.uint64), tl[::-1].view(np.uint64)), (L, dt)
             assert te[L] == raised_cosine(dt / 2, rolloff), (L, dt)  # the runners' p(dt/2)
+
+
+@pytest.mark.parametrize("rolloff", (0.0, 0.35, 1.0))
+def test_tap_grid_rows_are_the_scalar_taps_bit_for_bit(rolloff):
+    # the offset grids of the closed-form analysis go through the
+    # broadcasting helper; each of its rows is one isi_taps call
+    grid = np.array(TAP_OFFSETS)
+    for L in (1, 16):
+        pulse = PulseShape(rolloff, L)
+        lags, te, tl = _mid_offset_taps(grid, pulse)
+        assert te.shape == tl.shape == (len(grid), 2 * L + 1)
+        for row, dt in enumerate(TAP_OFFSETS):
+            want_lags, want_te, want_tl = isi_taps(dt, pulse)
+            assert np.array_equal(lags, want_lags)
+            assert np.array_equal(te[row].view(np.uint64), want_te.view(np.uint64)), (L, dt)
+            assert np.array_equal(tl[row].view(np.uint64), want_tl.view(np.uint64)), (L, dt)
+    # isi_taps itself takes one offset: its calls are keyed by their arguments
+    with pytest.raises(TypeError):
+        isi_taps(grid[:2], PulseShape())
 
 
 # ---------------------------------------------------------------------------
