@@ -78,27 +78,15 @@ def phase_penalty_db(theta: float) -> float:
     return 10.0 * math.log10(min_distance_sq(theta) / 4.0)
 
 
-def _phase_penalty_linear(theta: float) -> float:
-    return (1.0 - math.cos(theta)) ** 2 + (1.0 - math.sin(theta)) ** 2
+# Mean of the even linear bound (1-cos t)^2 + (1-sin t)^2 over t in [0, pi/4]:
+# (4/pi)(3 pi/4 - 2) = 3 - 8/pi, correctly rounded.  Not 3 - 8/math.pi, which is 3 ulp
+# low: the rounding of math.pi moves 8/pi by 1.8 ulp of the result, the division 1 more.
+_AVG_PHASE_PENALTY_LINEAR = 0.45352091052967464
 
 
 def avg_phase_penalty_db() -> float:
-    """Average penalty bound for a phase offset uniform over [-pi/4, pi/4].
-
-    Integrates the linear bound by adaptive quadrature (abs tol 1e-10) and
-    converts to dB; the closed form of the integral is 3 - 8/pi.  scipy is
-    imported here, not at module level, so that only `pnc penalty` loads it.
-    """
-    from scipy import integrate
-
-    val, _ = integrate.quad(_phase_penalty_linear, 0.0, math.pi / 4,
-                            epsabs=1e-10, epsrel=1e-12)
-    return 10.0 * math.log10(val * 4.0 / math.pi)
-
-
-def avg_phase_penalty_linear_closed_form() -> float:
-    """Closed form of the average linear penalty: (4/pi)(3 pi/4 - 2) = 3 - 8/pi."""
-    return 3.0 - 8.0 / math.pi
+    """Average penalty bound, phase offset uniform over [-pi/4, pi/4]: 10 log10(3 - 8/pi)."""
+    return 10.0 * math.log10(_AVG_PHASE_PENALTY_LINEAR)
 
 
 def sir_1d_traditional_db(alpha: float, max_terms: int = 100_000) -> float:

@@ -19,7 +19,8 @@ class ChainConfig:
     """Inputs for the chain plan.
 
     local_errors is the per-group error triple (phase rad, frequency bound
-    expressed as twice the one-sided offset in rad/s, time offset s).
+    expressed as twice the one-sided offset in rad/s, time offset s).  The
+    synchronization phase, ts = (N-2)*bg_sync_time, must end within the period.
     """
 
     num_nodes: int
@@ -30,12 +31,18 @@ class ChainConfig:
     def __post_init__(self):
         if self.num_nodes < 3:
             raise ValueError(f"N >= 3 required, got {self.num_nodes}")
-        if self.bg_sync_time <= 0:
-            raise ValueError("bg_sync_time must be positive")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.bg_sync_time) and self.bg_sync_time > 0):
+            raise ValueError(f"bg_sync_time must be positive and finite, got {self.bg_sync_time}")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         if len(self.local_errors) != 3:
             raise ValueError("local_errors must be a triple")
+        if not all(math.isfinite(e) for e in self.local_errors):
+            raise ValueError(f"local_errors must be finite, got {self.local_errors}")
+        ts = (self.num_nodes - 2) * self.bg_sync_time
+        if ts >= self.period:
+            raise ValueError(f"infeasible: ts = (N-2)*bg_sync_time = {ts} "
+                             f">= period = {self.period}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,6 @@ def make_plan(cfg: ChainConfig, halved_sync: bool = False) -> ChainPlan:
     """
     n = cfg.num_nodes
     ts = (n - 2) * cfg.bg_sync_time
-    if ts >= cfg.period:
-        raise ValueError(f"infeasible: ts = (N-2)*bg_sync_time = {ts} >= period = {cfg.period}")
     groups = partition_groups(n)
     m = len(groups)
 

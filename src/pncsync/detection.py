@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .impairments import superpose_phase_offset
-from .mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
+from .mapping import ALL_BIT_PAIRS, qpsk_modulate
 
 # class index c = 2*x_i + x_q, lexicographic in (x_i, x_q)
 NUM_CLASSES = 4
@@ -36,9 +36,6 @@ class XorHypothesisSet:
 
     theta: float
     points: np.ndarray = field(repr=False)  # (4, 4) complex, immutable
-
-    def class_bits(self, c: int) -> BitPair:
-        return BitPair(c >> 1, c & 1)
 
 
 def build_hypotheses(theta: float) -> XorHypothesisSet:
@@ -87,16 +84,6 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out.squeeze(axis)
 
 
-def min_interclass_distance_sq(hyp: XorHypothesisSet) -> float:
-    """Brute-force smallest squared distance between points of different classes."""
-    best = math.inf
-    for ca in range(NUM_CLASSES):
-        for cb in range(ca + 1, NUM_CLASSES):
-            d = np.abs(hyp.points[ca][:, None] - hyp.points[cb][None, :]) ** 2
-            best = min(best, float(d.min()))
-    return best
-
-
 def threshold_bits(samples, scale: float) -> np.ndarray:
     """Midpoint threshold per dimension: bit 0 if |sample| > scale, else 1.
 
@@ -133,4 +120,3 @@ def ml_xor_bits(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
     sc = ml_class_scores(samples, hyp, noise_var)
     c = np.argmax(sc, axis=1)
     return np.stack([c >> 1, c & 1], axis=1).astype(np.int8)
-

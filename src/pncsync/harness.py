@@ -30,10 +30,6 @@ from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, isi_t
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
 
-TRADITIONAL_SLOTS = 4
-STRAIGHTFORWARD_NC_SLOTS = 3
-PNC_SLOTS = 2
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -77,6 +73,9 @@ class ExperimentConfig:
             if not 0.0 <= self.offset_range <= 0.5:
                 raise ValueError("offset_range must be in [0, 0.5]")
         self.pulse()  # rolloff in [0, 1] and truncation >= 1, for every command
+        self.chain_config()  # chain inputs, feasibility included, for every command
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.frame_length < 1:
@@ -89,6 +88,10 @@ class ExperimentConfig:
 
     def pulse(self) -> PulseShape:
         return PulseShape(self.rolloff, self.truncation)
+
+    def chain_config(self) -> chain.ChainConfig:
+        return chain.ChainConfig(num_nodes=self.chain_nodes, bg_sync_time=self.chain_bg_time,
+                                 period=self.chain_period, local_errors=self.chain_local_errors)
 
 
 @dataclass(frozen=True)
@@ -325,26 +328,12 @@ def run_penalty(cfg: ExperimentConfig):
 
 def run_chain(cfg: ExperimentConfig) -> str:
     """Serialized synchronization plan for the configured chain."""
-    ccfg = chain.ChainConfig(num_nodes=cfg.chain_nodes, bg_sync_time=cfg.chain_bg_time,
-                             period=cfg.chain_period, local_errors=cfg.chain_local_errors)
-    plan = chain.make_plan(ccfg, halved_sync=cfg.chain_halved)
+    plan = chain.make_plan(cfg.chain_config(), halved_sync=cfg.chain_halved)
     text = chain.serialize_plan(plan)
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
-
-
-def throughput_summary() -> dict:
-    """Slot counts of the three exchange schedules and relative throughputs."""
-    schemes = {
-        "traditional": TRADITIONAL_SLOTS,
-        "straightforward_nc": STRAIGHTFORWARD_NC_SLOTS,
-        "pnc": PNC_SLOTS,
-    }
-    return {name: {"slots": slots,
-                   "throughput_vs_traditional": TRADITIONAL_SLOTS / slots}
-            for name, slots in schemes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -403,56 +392,3 @@ def write_penalty_csv(path, cfg: ExperimentConfig, curves, summary):
     for key, val in summary.items():
         lines.append(f"# {key} = {_fmt(val)}")
     _write_lines(path, lines)
-
-
-# ---------------------------------------------------------------------------
-# horizontal (dB) curve comparison
-
-
-def snr_at_level(snrs, values, level, log_scale=False):
-    """SNR at which a curve crosses a target ordinate (linear interpolation).
-
-    log_scale interpolates in log10 of the ordinate (use for BER curves).
-    Returns nan when the curve never brackets the level.
-    """
-    s = np.asarray(snrs, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if log_scale:
-        good = v > 0
-        s, v = s[good], np.log10(v[good])
-        level = math.log10(level)
-    for i in range(len(s) - 1):
-        lo, hi = v[i], v[i + 1]
-        if lo == hi:
-            continue
-        if (lo - level) * (hi - level) <= 0:
-            return float(s[i] + (s[i + 1] - s[i]) * (level - lo) / (hi - lo))
-    return math.nan
-
-
-def horizontal_gap_db(ref_snrs, ref_values, test_snrs, test_values, level,
-                      log_scale=False) -> float:
-    """SNR gap between two curves at one ordinate: test crossing - ref crossing."""
-    return (snr_at_level(test_snrs, test_values, level, log_scale)
-            - snr_at_level(ref_snrs, ref_values, level, log_scale))
-
-
-def max_horizontal_gap_db(ref_snrs, ref_values, test_snrs, test_values,
-                          snr_lo, snr_hi) -> float:
-    """Largest SNR gap of an increasing test curve to the reference curve.
-
-    For each test point inside [snr_lo, snr_hi] whose ordinate falls inside
-    the reference range, interpolate the reference SNR at that ordinate and
-    take the worst (test - ref) difference.  The reference is monotonized
-    (running maximum) so Monte-Carlo jitter cannot break the interpolation.
-    """
-    rs = np.asarray(ref_snrs, dtype=float)
-    rv = np.maximum.accumulate(np.asarray(ref_values, dtype=float))
-    worst = -math.inf
-    for s, v in zip(test_snrs, test_values):
-        if not snr_lo <= s <= snr_hi:
-            continue
-        if not rv[0] <= v <= rv[-1]:
-            continue
-        worst = max(worst, s - float(np.interp(v, rv, rs)))
-    return worst

@@ -1,4 +1,4 @@
-"""QPSK mapping at the end nodes and the xor demap/remap at the relay.
+"""QPSK mapping at the end nodes and the xor demap at the relay.
 
 Amplitudes are +-1 per real dimension (unit power per dimension per node),
 so the noiseless superposition of two symbols lives on {-2, 0, +2} per
@@ -66,11 +66,6 @@ def qpsk_modulate(bits: BitPair) -> QpskSymbol:
     return QpskSymbol(2 * bits.i_bit - 1, 2 * bits.q_bit - 1)
 
 
-def qpsk_demodulate(sym: QpskSymbol) -> BitPair:
-    """Inverse of qpsk_modulate (noiseless)."""
-    return BitPair((sym.a + 1) // 2, (sym.b + 1) // 2)
-
-
 def superpose_symbols(s1: QpskSymbol, s3: QpskSymbol) -> SuperposedLevel:
     """Noiseless sum of two symbols at the relay (perfect sync)."""
     return SuperposedLevel(s1.a + s3.a, s1.b + s3.b)
@@ -83,13 +78,3 @@ def pnc_xor_of_levels(level: SuperposedLevel) -> BitPair:
     the sources agree (sum +-2) exactly when their bits are equal.
     """
     return BitPair(int(level.i_level == 0), int(level.q_level == 0))
-
-
-def relay_remap(xor_bits: BitPair) -> QpskSymbol:
-    """QPSK symbol the relay broadcasts; same rule as qpsk_modulate."""
-    return qpsk_modulate(xor_bits)
-
-
-def end_node_extract(relay_bits: BitPair, own_bits: BitPair) -> BitPair:
-    """Recover the far node's bits from the relay's xor broadcast."""
-    return relay_bits ^ own_bits

@@ -1,0 +1,67 @@
+"""Test-only references: the brute-force minimum distance (criterion 09) and
+the horizontal SNR gaps read off BER and MI curves (criteria 07 and 08)."""
+
+import math
+
+import numpy as np
+
+from pncsync.detection import NUM_CLASSES, XorHypothesisSet
+
+
+def min_interclass_distance_sq(hyp: XorHypothesisSet) -> float:
+    """Brute-force smallest squared distance between points of different classes."""
+    best = math.inf
+    for ca in range(NUM_CLASSES):
+        for cb in range(ca + 1, NUM_CLASSES):
+            d = np.abs(hyp.points[ca][:, None] - hyp.points[cb][None, :]) ** 2
+            best = min(best, float(d.min()))
+    return best
+
+
+def snr_at_level(snrs, values, level, log_scale=False):
+    """SNR at which a curve crosses a target ordinate (linear interpolation).
+
+    log_scale interpolates in log10 of the ordinate (use for BER curves).
+    Returns nan when the curve never brackets the level.
+    """
+    s = np.asarray(snrs, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if log_scale:
+        good = v > 0
+        s, v = s[good], np.log10(v[good])
+        level = math.log10(level)
+    for i in range(len(s) - 1):
+        lo, hi = v[i], v[i + 1]
+        if lo == hi:
+            continue
+        if (lo - level) * (hi - level) <= 0:
+            return float(s[i] + (s[i + 1] - s[i]) * (level - lo) / (hi - lo))
+    return math.nan
+
+
+def horizontal_gap_db(ref_snrs, ref_values, test_snrs, test_values, level,
+                      log_scale=False) -> float:
+    """SNR gap between two curves at one ordinate: test crossing - ref crossing."""
+    return (snr_at_level(test_snrs, test_values, level, log_scale)
+            - snr_at_level(ref_snrs, ref_values, level, log_scale))
+
+
+def max_horizontal_gap_db(ref_snrs, ref_values, test_snrs, test_values,
+                          snr_lo, snr_hi) -> float:
+    """Largest SNR gap of an increasing test curve to the reference curve.
+
+    For each test point inside [snr_lo, snr_hi] whose ordinate falls inside
+    the reference range, interpolate the reference SNR at that ordinate and
+    take the worst (test - ref) difference.  The reference is monotonized
+    (running maximum) so Monte-Carlo jitter cannot break the interpolation.
+    """
+    rs = np.asarray(ref_snrs, dtype=float)
+    rv = np.maximum.accumulate(np.asarray(ref_values, dtype=float))
+    worst = -math.inf
+    for s, v in zip(test_snrs, test_values):
+        if not snr_lo <= s <= snr_hi:
+            continue
+        if not rv[0] <= v <= rv[-1]:
+            continue
+        worst = max(worst, s - float(np.interp(v, rv, rs)))
+    return worst

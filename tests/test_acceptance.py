@@ -14,11 +14,9 @@ import pytest
 
 from pncsync import analysis
 from pncsync.analysis import SinrContext
-from pncsync.detection import build_hypotheses, min_interclass_distance_sq
+from pncsync.detection import build_hypotheses
 from pncsync.harness import (
     ExperimentConfig,
-    horizontal_gap_db,
-    max_horizontal_gap_db,
     run_ber,
     run_chain,
     run_mi,
@@ -27,6 +25,8 @@ from pncsync.harness import (
 from pncsync.mapping import ALL_BIT_PAIRS, pnc_xor_of_levels, qpsk_modulate, superpose_symbols
 from pncsync.chain import ChainConfig, effective_detection_errors, make_plan, partition_groups
 from scipy.special import erfc
+
+from oracles import horizontal_gap_db, max_horizontal_gap_db, min_interclass_distance_sq
 
 SEED = 1234567
 

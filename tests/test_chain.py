@@ -166,11 +166,10 @@ def test_serialization_deterministic_and_parsable():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ChainConfig(2, 1.0, 10.0, LOCAL)
-    with pytest.raises(ValueError):
-        ChainConfig(5, 0.0, 10.0, LOCAL)
-    with pytest.raises(ValueError):
-        ChainConfig(5, 1.0, -1.0, LOCAL)
-    with pytest.raises(ValueError):
-        ChainConfig(5, 1.0, 10.0, (0.1, 0.2))
+    nan, inf = math.nan, math.inf
+    for args in ((2, 1.0, 10.0, LOCAL), (5, 0.0, 10.0, LOCAL), (5, 1.0, -1.0, LOCAL),
+                 (5, 1.0, 10.0, (0.1, 0.2)), (5, nan, 10.0, LOCAL), (5, inf, 10.0, LOCAL),
+                 (5, 1.0, nan, LOCAL), (5, 1.0, inf, LOCAL), (5, 1.0, 10.0, (0.1, nan, 0.001)),
+                 (5, 1.0, 10.0, (0.1, 0.02, -inf)), (12, 1.0, 10.0, LOCAL)):
+        with pytest.raises(ValueError):
+            ChainConfig(*args)

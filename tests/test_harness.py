@@ -12,21 +12,9 @@ from pncsync import harness
 from pncsync.cli import _parse_grid, main as cli_main
 from pncsync.impairments import isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
-from pncsync.harness import (
-    BerResult,
-    ExperimentConfig,
-    config_from_file,
-    horizontal_gap_db,
-    max_horizontal_gap_db,
-    parse_config_file,
-    penalty_summary,
-    run_ber,
-    run_chain,
-    run_mi,
-    run_penalty,
-    snr_at_level,
-    throughput_summary,
-)
+from pncsync.harness import (BerResult, ExperimentConfig, config_from_file, parse_config_file,
+                             penalty_summary, run_ber, run_chain, run_mi, run_penalty)
+from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level
 
 
 def qfunc(x):
@@ -61,20 +49,12 @@ def test_config_defaults_valid():
 
 
 def test_config_validation(tmp_path, capsys):
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="nope")
-    with pytest.raises(ValueError):
-        ExperimentConfig(scenario="nope")
-    with pytest.raises(ValueError):
-        ExperimentConfig(snr_grid_db=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(snr_grid_db=(3.0, 2.0))
-    with pytest.raises(ValueError):
-        ExperimentConfig(samples_per_point=10)
-    with pytest.raises(ValueError):
-        ExperimentConfig(offset_range=0.7)
-    with pytest.raises(ValueError):
-        ExperimentConfig(workers=0)
+    for bad in (dict(command="nope"), dict(scenario="nope"), dict(snr_grid_db=()),
+                dict(snr_grid_db=(3.0, 2.0)), dict(samples_per_point=10),
+                dict(offset_range=0.7), dict(workers=0), dict(master_seed=-1),
+                dict(chain_bg_time=math.nan), dict(command="penalty", chain_nodes=2)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(snr_grid_db=(0.0, bad))
@@ -410,7 +390,7 @@ def test_penalty_csv_contains_curves_and_footer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# chain runner and throughput table
+# chain runner
 
 
 def test_run_chain_matches_module_and_is_deterministic(tmp_path):
@@ -430,20 +410,8 @@ def test_run_chain_rejects_small_n():
         run_chain(ExperimentConfig(command="chain", chain_nodes=2))
 
 
-def test_throughput_summary_table():
-    t = throughput_summary()
-    assert t["traditional"]["slots"] == 4
-    assert t["straightforward_nc"]["slots"] == 3
-    assert t["pnc"]["slots"] == 2
-    assert t["straightforward_nc"]["throughput_vs_traditional"] == pytest.approx(4 / 3)
-    assert t["pnc"]["throughput_vs_traditional"] == pytest.approx(2.0)
-    ratio = (t["pnc"]["throughput_vs_traditional"]
-             / t["straightforward_nc"]["throughput_vs_traditional"])
-    assert ratio == pytest.approx(1.5)
-
-
 # ---------------------------------------------------------------------------
-# curve comparison helpers
+# curve comparison oracles of the acceptance checks
 
 
 def test_snr_at_level_linear_and_log():
@@ -554,6 +522,19 @@ def test_cli_rejects_non_finite_snr(grid, capsys):
 def test_cli_bad_grid_exits_2_with_one_line(capsys):
     assert cli_usage_error(["ber", "--snr-grid", "5:1"], capsys) == \
         "pnc: error: snr grid '5:1': stop is below start"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("chain --nodes 2", "N >= 3 required, got 2"),
+    ("chain --errors 0.1,0.2", "local_errors must be a triple"),
+    ("chain --nodes 12 --bg-time 1 --period 10",
+     "infeasible: ts = (N-2)*bg_sync_time = 10.0 >= period = 10.0"),
+    ("chain --bg-time nan", "bg_sync_time must be positive and finite, got nan"),
+    ("chain --errors nan,1,1", "local_errors must be finite, got (nan, 1.0, 1.0)"),
+    ("ber --seed -1 --snr-grid 4 --samples 1000", "master_seed must be >= 0, got -1"),
+], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed"])
+def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
+    assert cli_usage_error(argv.split(), capsys) == f"pnc: error: {message}"
 
 
 def test_cli_mi_smoke(tmp_path):

@@ -1,18 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pncsync.mapping import (
-    ALL_BIT_PAIRS,
-    BitPair,
-    QpskSymbol,
-    SuperposedLevel,
-    end_node_extract,
-    pnc_xor_of_levels,
-    qpsk_demodulate,
-    qpsk_modulate,
-    relay_remap,
-    superpose_symbols,
-)
+from pncsync.mapping import (ALL_BIT_PAIRS, BitPair, QpskSymbol, SuperposedLevel,
+                             pnc_xor_of_levels, qpsk_modulate, superpose_symbols)
 
 bit_pairs = st.builds(BitPair, st.integers(0, 1), st.integers(0, 1))
 
@@ -26,8 +16,6 @@ def test_modulate_known_points():
 def test_modulate_is_bijective():
     images = {qpsk_modulate(b) for b in ALL_BIT_PAIRS}
     assert len(images) == 4
-    for b in ALL_BIT_PAIRS:
-        assert qpsk_demodulate(qpsk_modulate(b)) == b
 
 
 def test_xor_demap_known_levels():
@@ -58,24 +46,11 @@ def test_demap_equals_xor_for_all_16_pairs():
             assert pnc_xor_of_levels(level) == s1 ^ s3
 
 
-def test_relay_remap_matches_modulation_rule():
-    assert relay_remap(BitPair(0, 0)) == QpskSymbol(-1, -1)
-    assert relay_remap(BitPair(1, 0)) == QpskSymbol(1, -1)
-    assert relay_remap(BitPair(1, 1)) == QpskSymbol(1, 1)
-    for b in ALL_BIT_PAIRS:
-        assert relay_remap(b) == qpsk_modulate(b)
-
-
-def test_end_node_extract_known_values():
-    assert end_node_extract(BitPair(1, 0), BitPair(1, 0)) == BitPair(0, 0)
-    assert end_node_extract(BitPair(1, 1), BitPair(0, 0)) == BitPair(1, 1)
-    assert end_node_extract(BitPair(0, 1), BitPair(1, 1)) == BitPair(1, 0)
-
-
 @given(bit_pairs, bit_pairs)
 def test_round_trip_through_relay(x, y):
     level = superpose_symbols(qpsk_modulate(x), qpsk_modulate(y))
-    assert end_node_extract(pnc_xor_of_levels(level), x) == y
+    # an end node xors the relay's broadcast with its own bits
+    assert pnc_xor_of_levels(level) ^ x == y
 
 
 @given(bit_pairs, bit_pairs)
