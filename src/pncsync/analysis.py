@@ -25,21 +25,9 @@ PNC_1D_SIR_DB = 15.3
 
 # offsets per tap grid in isi_variance; bounds its temporaries to a few (64, 2L+1) arrays
 _GRID_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class PenaltyCurve:
-    """One tabulated penalty curve: (parameter, penalty_db) points."""
-
-    parameter_name: str
-    points: tuple
-
-    def __post_init__(self):
-        xs = [p for p, _ in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("parameter values must be strictly increasing")
-        if not all(math.isfinite(v) for _, v in self.points):
-            raise ValueError("penalty values must be finite")
+_SIR_MAX_TERMS = 100_000  # cap on the terms of the 1-D SIR series
+_SINR_GRID_POINTS = 1001  # offsets of the average and worst SINR penalty sweeps
+_CURVE_POINTS = 101  # points of each tabulated penalty curve
 
 
 @dataclass(frozen=True)
@@ -89,19 +77,17 @@ def avg_phase_penalty_db() -> float:
     return 10.0 * math.log10(_AVG_PHASE_PENALTY_LINEAR)
 
 
-def sir_1d_traditional_db(alpha: float, max_terms: int = 100_000) -> float:
+def sir_1d_traditional_db(alpha: float) -> float:
     """SIR of the traditional 1-D transmission schedule with path-loss alpha.
 
     Interferers sit at normalized distances (2+4l), (3+4l), (5+4l), the
     first with multiplicity two; the series is truncated once a term drops
-    below 1e-12 or after max_terms terms.
+    below 1e-12 or after _SIR_MAX_TERMS terms.
     """
     if alpha <= 1:
         raise ValueError(f"series diverges for alpha <= 1, got {alpha}")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
     total = 0.0
-    for l in range(max_terms):
+    for l in range(_SIR_MAX_TERMS):
         term = (2.0 / (2 + 4 * l) ** alpha
                 + 1.0 / (3 + 4 * l) ** alpha
                 + 1.0 / (5 + 4 * l) ** alpha)
@@ -165,35 +151,31 @@ def sinr_penalty_db(dt_frac, ctx: SinrContext):
     return vals[0] if np.ndim(dt_frac) == 0 else np.array(vals)
 
 
-def avg_sinr_penalty_db(ctx: SinrContext, num_points: int = 1001) -> float:
+def avg_sinr_penalty_db(ctx: SinrContext) -> float:
     """Average SINR penalty for a time offset uniform over [-T/2, T/2].
 
     SINR is averaged on the linear scale over dt/T in [-0.5, 0.5]
-    (trapezoid on num_points), then converted to dB and referenced to
-    snr0_db; averaging dB values would not be physically meaningful.
+    (trapezoid on _SINR_GRID_POINTS), then converted to dB and referenced
+    to snr0_db; averaging dB values would not be physically meaningful.
     """
-    if num_points < 2:
-        raise ValueError("num_points must be >= 2")
-    taus = np.linspace(-0.5, 0.5, num_points)
+    taus = np.linspace(-0.5, 0.5, _SINR_GRID_POINTS)
     mean = np.trapezoid(sinr_linear(taus, ctx), taus)  # interval has unit width
     return 10.0 * math.log10(mean) - ctx.snr0_db
 
 
-def worst_sinr_penalty_db(ctx: SinrContext, num_points: int = 1001) -> float:
+def worst_sinr_penalty_db(ctx: SinrContext) -> float:
     """Most negative SINR penalty over dt/T in [-0.5, 0.5] (grid minimum)."""
-    taus = np.linspace(0.0, 0.5, num_points)  # even in dt
+    taus = np.linspace(0.0, 0.5, _SINR_GRID_POINTS)  # even in dt
     return min(sinr_penalty_db(taus, ctx).tolist())
 
 
-def emit_penalty_curves(ctx: SinrContext,
-                        theta_points: int = 101,
-                        dt_points: int = 101) -> list[PenaltyCurve]:
-    """Tabulate the phase-penalty and time-penalty curves."""
-    thetas = np.linspace(-math.pi / 4, math.pi / 4, theta_points)
-    phase = PenaltyCurve(
-        "theta_rad",
-        tuple((float(t), phase_penalty_db(float(t))) for t in thetas))
-    taus = np.linspace(-0.5, 0.5, dt_points)
-    timec = PenaltyCurve(
-        "dt_over_T", tuple(zip(taus.tolist(), sinr_penalty_db(taus, ctx).tolist())))
-    return [phase, timec]
+def emit_penalty_curves(ctx: SinrContext) -> list:
+    """The phase and time penalty curves: [("phase", points), ("time", points)].
+
+    Each curve is _CURVE_POINTS (parameter, penalty_db) pairs: theta in
+    [-pi/4, pi/4] rad, dt/T in [-0.5, 0.5].
+    """
+    thetas = np.linspace(-math.pi / 4, math.pi / 4, _CURVE_POINTS).tolist()
+    taus = np.linspace(-0.5, 0.5, _CURVE_POINTS)
+    return [("phase", [(t, phase_penalty_db(t)) for t in thetas]),
+            ("time", list(zip(taus.tolist(), sinr_penalty_db(taus, ctx).tolist())))]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 class ChainConfig:
     """Inputs for the chain plan.
 
-    local_errors is the per-group error triple (phase rad, frequency bound
-    expressed as twice the one-sided offset in rad/s, time offset s).  The
+    local_errors is the per-group triple of error bounds, each >= 0 (phase
+    rad, frequency as twice the one-sided offset in rad/s, time offset s).  The
     synchronization phase, ts = (N-2)*bg_sync_time, must end within the period.
     """
 
@@ -39,6 +39,8 @@ class ChainConfig:
             raise ValueError("local_errors must be a triple")
         if not all(math.isfinite(e) for e in self.local_errors):
             raise ValueError(f"local_errors must be finite, got {self.local_errors}")
+        if any(e < 0 for e in self.local_errors):
+            raise ValueError(f"local_errors must be >= 0, got {self.local_errors}")
         ts = (self.num_nodes - 2) * self.bg_sync_time
         if ts >= self.period:
             raise ValueError(f"infeasible: ts = (N-2)*bg_sync_time = {ts} "
@@ -136,23 +138,6 @@ def effective_detection_errors(plan: ChainPlan, relay_node: int) -> tuple:
     if not 2 <= relay_node <= plan.num_nodes:
         raise ValueError(f"relay {relay_node} outside chain 1..{plan.num_nodes}")
     return plan.local_errors
-
-
-def resync_period_bound(drift_rates: tuple, tolerances: tuple) -> float:
-    """Largest period keeping every drifting quantity within tolerance.
-
-    bound = min over components of tolerance/drift; a zero drift leaves
-    that component unbounded.  Independent of the chain length: only the
-    drift within one basic group matters.
-    """
-    if len(drift_rates) != 3 or len(tolerances) != 3:
-        raise ValueError("drift_rates and tolerances must be triples")
-    if any(d < 0 for d in drift_rates):
-        raise ValueError("drift rates must be >= 0")
-    if any(t <= 0 for t in tolerances):
-        raise ValueError("tolerances must be positive")
-    bounds = [t / d for d, t in zip(drift_rates, tolerances) if d > 0]
-    return min(bounds) if bounds else math.inf
 
 
 def serialize_plan(plan: ChainPlan) -> str:

@@ -52,7 +52,8 @@ def _parse_grid(text: str) -> tuple:
 def _common(sub):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, help="master RNG seed")
-    sub.add_argument("--workers", type=int, help="work units per point")
+    sub.add_argument("--workers", type=int, help="batches per SNR point, run in turn, not in "
+                     "parallel; each rounds its share of --samples up to whole frames")
     sub.add_argument("--out", help="output file path")
 
 

@@ -13,8 +13,6 @@ mutual-information estimators use it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .impairments import superpose_phase_offset
@@ -25,23 +23,13 @@ NUM_CLASSES = 4
 PAIRS_PER_CLASS = 4
 
 
-@dataclass(frozen=True, eq=False)
-class XorHypothesisSet:
-    """Superposed constellation grouped by xor class, for one phase offset.
+def build_hypotheses(theta: float) -> np.ndarray:
+    """The 16 superposed points s1 + s3*e^{j*theta}, grouped by xor class.
 
-    points[c] holds the four points s1 + s3*e^{j*theta} whose generating
-    pair satisfies (i1^i3, q1^q3) == (c >> 1, c & 1), in s1-major
-    enumeration order.
-    """
-
-    theta: float
-    points: np.ndarray = field(repr=False)  # (4, 4) complex, immutable
-
-
-def build_hypotheses(theta: float) -> XorHypothesisSet:
-    """Enumerate all 16 (s1, s3) pairs at a folded phase offset.
-
-    theta must already be folded into [-pi/4, pi/4).
+    Row c of the read-only (4, 4) array holds the four points whose
+    generating pair satisfies (i1^i3, q1^q3) == (c >> 1, c & 1), in
+    s1-major enumeration order.  theta must already be folded into
+    [-pi/4, pi/4).
     """
     if not -math.pi / 4 <= theta < math.pi / 4:
         raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {theta}")
@@ -54,7 +42,7 @@ def build_hypotheses(theta: float) -> XorHypothesisSet:
                 qpsk_modulate(b1).as_complex(), qpsk_modulate(b3).as_complex(), theta)
             count[c] += 1
     pts.setflags(write=False)
-    return XorHypothesisSet(theta=theta, points=pts)
+    return pts
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -96,7 +84,7 @@ def threshold_bits(samples, scale: float) -> np.ndarray:
     return (np.abs(np.asarray(samples, dtype=float)) <= scale).astype(np.int8)
 
 
-def ml_class_scores(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
+def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """Per-class log-likelihood (up to a common constant) for complex samples.
 
     score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
@@ -104,19 +92,19 @@ def ml_class_scores(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndar
     priors over the 16 pairs make the class prior a common constant.
     """
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
-    d2 = np.abs(r[:, None, None] - hyp.points[None, :, :]) ** 2
+    d2 = np.abs(r[:, None, None] - points[None, :, :]) ** 2
     if noise_var == 0:
         # degenerate: likelihood concentrates on the nearest point
         return -d2.min(axis=2)
     return logsumexp(-d2 / (2.0 * noise_var), axis=2)
 
 
-def ml_xor_bits(samples, hyp: XorHypothesisSet, noise_var: float) -> np.ndarray:
+def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """ML xor decision for an array of complex samples; returns (N, 2) bits.
 
     Ties break toward the smallest class index (lexicographic in
     (x_i, x_q)), which argmax provides by taking the first maximum.
     """
-    sc = ml_class_scores(samples, hyp, noise_var)
+    sc = ml_class_scores(samples, points, noise_var)
     c = np.argmax(sc, axis=1)
     return np.stack([c >> 1, c & 1], axis=1).astype(np.int8)

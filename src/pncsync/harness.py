@@ -138,12 +138,9 @@ def parse_config_file(path) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, val = line.split("=", 1)
-            elif ":" in line:
-                key, val = line.split(":", 1)
-            else:
+            if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, val = line.split("=", 1)
             key = key.strip()
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -231,7 +228,7 @@ def _mi_phase(cfg, snr_db, num_samples, rng):
 def _mi_time(cfg, snr_db, num_samples, rng):
     n = max(1, math.ceil(num_samples / cfg.frame_length)) * cfg.frame_length
     mi = mutual_info.mi_time_unsync(snr_db, cfg.effective_offset_range(), num_samples, rng,
-                                    pulse=cfg.pulse(), frame_len=cfg.frame_length)
+                                    cfg.pulse(), cfg.frame_length)
     return mi * n, n
 
 
@@ -384,11 +381,9 @@ def write_penalty_csv(path, cfg: ExperimentConfig, curves, summary):
         f"# rolloff={cfg.rolloff!r} truncation={cfg.truncation} snr0_db=10.0",
         "curve,parameter,penalty_db",
     ]
-    names = {"theta_rad": "phase", "dt_over_T": "time"}
-    for curve in curves:
-        cname = names.get(curve.parameter_name, curve.parameter_name)
-        for p, v in curve.points:
-            lines.append(f"{cname},{_fmt(p)},{_fmt(v)}")
+    for name, points in curves:
+        for p, v in points:
+            lines.append(f"{name},{_fmt(p)},{_fmt(v)}")
     for key, val in summary.items():
         lines.append(f"# {key} = {_fmt(val)}")
     _write_lines(path, lines)

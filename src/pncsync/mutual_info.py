@@ -19,7 +19,12 @@ import numpy as np
 from .detection import build_hypotheses, logsumexp
 from .impairments import PulseShape, draw_time_offset, isi_taps, time_offset_frame
 
-PHASE_GRID_POINTS = 20  # midpoint grid of the phase_unsync average
+PHASE_GRID_POINTS = 20
+# Midpoint grid (k+1/2)/n * pi/4 of the phase_unsync average.  The constellation
+# ensemble is symmetric in the sign of the offset, so the positive half
+# represents the full [-pi/4, pi/4] uniform distribution.
+PHASE_OFFSETS = (np.arange(PHASE_GRID_POINTS) + 0.5) / PHASE_GRID_POINTS * (math.pi / 4)
+PHASE_OFFSETS.setflags(write=False)
 _LOG2 = math.log(2.0)
 _CHUNK = 1 << 16
 _ENUM_WINDOW = 2  # neighbors per side whose ISI the time-offset MI enumerates exactly
@@ -35,8 +40,8 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    hyp = build_hypotheses(theta)
-    flat = hyp.points.reshape(-1)
+    points = build_hypotheses(theta)
+    flat = points.reshape(-1)
     s2 = 10.0 ** (-snr_db / 10.0)
     sd = math.sqrt(s2)
     total = 0.0
@@ -46,7 +51,7 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
         idx = rng.integers(0, 16, n)
         cls = idx >> 2  # row-major: point j of class c sits at 4c + j
         r = flat[idx] + sd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        e = -np.abs(r[:, None, None] - hyp.points[None, :, :]) ** 2 / (2.0 * s2)
+        e = -np.abs(r[:, None, None] - points[None, :, :]) ** 2 / (2.0 * s2)
         num = logsumexp(e, axis=2)[np.arange(n), cls]
         den = logsumexp(e.reshape(n, 16), axis=1)
         total += float(np.sum(num - den)) / _LOG2 + n * 2.0
@@ -54,38 +59,25 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
     return 0.5 * total / num_samples
 
 
-def phase_offset_grid(num_grid: int) -> np.ndarray:
-    """Midpoint grid over the positive half-range: (k+1/2)/n * pi/4.
-
-    The constellation ensemble is symmetric in the sign of the offset, so
-    averaging over the positive half represents the full [-pi/4, pi/4]
-    uniform distribution.
-    """
-    if num_grid < 2:
-        raise ValueError("num_grid must be >= 2")
-    return (np.arange(num_grid) + 0.5) / num_grid * (math.pi / 4)
-
-
-def mi_phase_unsync(snr_db: float, num_samples: int, rng: np.random.Generator,
-                    num_grid: int = PHASE_GRID_POINTS) -> float:
-    """Average of mi_given_theta over the midpoint offset grid.
+def mi_phase_unsync(snr_db: float, num_samples: int, rng: np.random.Generator) -> float:
+    """Average of mi_given_theta over PHASE_OFFSETS.
 
     num_samples is the total budget, split evenly across the grid.
     """
-    per = max(1, num_samples // num_grid)
-    vals = [mi_given_theta(snr_db, t, per, rng) for t in phase_offset_grid(num_grid)]
+    per = max(1, num_samples // PHASE_GRID_POINTS)
+    vals = [mi_given_theta(snr_db, t, per, rng) for t in PHASE_OFFSETS]
     return float(np.mean(vals))
 
 
-def _window_isi_atoms(taps_early, taps_late, lags, window: int):
-    """Enumerate the mid-offset ISI of the |lag| <= window neighbors exactly.
+def _window_isi_atoms(taps_early, taps_late, lags):
+    """Enumerate the mid-offset ISI of the |lag| <= _ENUM_WINDOW neighbors exactly.
 
     Returns (atoms, tail_var): equally likely ISI values of the enumerated
     neighbor bits of both trains (with the 1/2 amplitude convention), and
     the variance of the truncated remainder to fold into the noise.
     """
-    wsel = (np.abs(lags) <= window) & (lags != 0)
-    tsel = np.abs(lags) > window
+    wsel = (np.abs(lags) <= _ENUM_WINDOW) & (lags != 0)
+    tsel = np.abs(lags) > _ENUM_WINDOW
     wtaps = np.concatenate([taps_early[wsel], taps_late[wsel]])
     k = wtaps.size
     signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * k)).T.reshape(-1, k)
@@ -95,8 +87,7 @@ def _window_isi_atoms(taps_early, taps_late, lags, window: int):
 
 
 def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
-                   rng: np.random.Generator, pulse: PulseShape = PulseShape(),
-                   frame_len: int = 1000) -> float:
+                   rng: np.random.Generator, pulse: PulseShape, frame_len: int) -> float:
     """Per-dimension xor information with a random symbol-time offset.
 
     Per frame the offset is drawn uniform over [-x, x] symbols, a +-1
@@ -119,7 +110,7 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
         r, xbit = time_offset_frame(frame_len, te, tl, sd_half, rng)
 
         level = te[L]  # p(dt/2); per-dim levels are 0 and +-2*(level/2)
-        atoms, tail_var = _window_isi_atoms(te, tl, lags, _ENUM_WINDOW)
+        atoms, tail_var = _window_isi_atoms(te, tl, lags)
         veff = sd_half * sd_half + tail_var
         d = r[:, None] - atoms[None, :]
         k = atoms.size

@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 
-from pncsync.detection import NUM_CLASSES, XorHypothesisSet
+from pncsync.detection import NUM_CLASSES
 
 
-def min_interclass_distance_sq(hyp: XorHypothesisSet) -> float:
-    """Brute-force smallest squared distance between points of different classes."""
+def min_interclass_distance_sq(points) -> float:
+    """Brute-force smallest squared distance between points of different classes.
+
+    points is the (4, 4) array of `build_hypotheses`, one row per xor class.
+    """
     best = math.inf
     for ca in range(NUM_CLASSES):
         for cb in range(ca + 1, NUM_CLASSES):
-            d = np.abs(hyp.points[ca][:, None] - hyp.points[cb][None, :]) ** 2
+            d = np.abs(points[ca][:, None] - points[cb][None, :]) ** 2
             best = min(best, float(d.min()))
     return best
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from pncsync import analysis
 from pncsync.analysis import (
-    PenaltyCurve,
     SinrContext,
     avg_phase_penalty_db,
     avg_sinr_penalty_db,
@@ -62,18 +61,25 @@ def test_avg_phase_penalty_against_closed_form():
 # 1-D SIR series
 
 
+def _sir_partial_db(alpha, terms):
+    """The 1-D SIR series of sir_1d_traditional_db cut after `terms` terms."""
+    total = sum(2.0 / (2 + 4 * l) ** alpha + 1.0 / (3 + 4 * l) ** alpha
+                + 1.0 / (5 + 4 * l) ** alpha for l in range(terms))
+    return 10.0 * math.log10(1.0 / total)
+
+
 def test_sir_values():
     assert sir_1d_traditional_db(4.0) == pytest.approx(8.49204320, abs=1e-6)
     # leading term only: 2/16 + 1/81 + 1/625
-    assert sir_1d_traditional_db(4.0, max_terms=1) == pytest.approx(8.57154955, abs=1e-6)
+    assert _sir_partial_db(4.0, 1) == pytest.approx(8.57154955, abs=1e-6)
     # large alpha: the 2/2^alpha term dominates, SIR -> 2^(alpha-1)
     assert sir_1d_traditional_db(20.0) == pytest.approx(
         10 * math.log10(2 ** 19), abs=0.01)
 
 
 def test_sir_truncation_stable_after_100_terms():
-    a = sir_1d_traditional_db(4.0, max_terms=100)
-    b = sir_1d_traditional_db(4.0, max_terms=100_000)
+    a = _sir_partial_db(4.0, 100)
+    b = sir_1d_traditional_db(4.0)
     assert abs(a - b) < 1e-3
 
 
@@ -141,8 +147,8 @@ def test_avg_sinr_penalty_frozen_value():
 
 
 def test_avg_sinr_quadrature_grids_agree():
-    a = avg_sinr_penalty_db(CTX, num_points=101)
-    b = avg_sinr_penalty_db(CTX, num_points=1001)
+    a = _array_avg(CTX, 101)
+    b = avg_sinr_penalty_db(CTX)  # 1001 points
     assert abs(a - b) < 0.01
 
 
@@ -159,27 +165,28 @@ def test_avg_sinr_noise_dominated_limit():
 
 
 def test_curves_shape_and_endpoints():
-    phase, timec = emit_penalty_curves(CTX)
-    assert phase.parameter_name == "theta_rad"
-    assert timec.parameter_name == "dt_over_T"
-    assert phase.points[0][1] == pytest.approx(phase_penalty_db(-math.pi / 4))
-    assert phase.points[-1][1] == pytest.approx(phase_penalty_db(math.pi / 4))
-    mid = timec.points[len(timec.points) // 2]
+    (pname, phase), (tname, timec) = emit_penalty_curves(CTX)
+    assert (pname, tname) == ("phase", "time")
+    assert len(phase) == len(timec) == 101
+    assert phase[0][0] == -math.pi / 4 and phase[-1][0] == math.pi / 4
+    assert phase[0][1] == pytest.approx(phase_penalty_db(-math.pi / 4))
+    assert phase[-1][1] == pytest.approx(phase_penalty_db(math.pi / 4))
+    assert timec[0][0] == -0.5 and timec[-1][0] == 0.5
+    mid = timec[len(timec) // 2]
     assert mid[0] == pytest.approx(0.0) and mid[1] == 0.0
+    for points in (phase, timec):
+        xs = [p for p, _ in points]
+        assert all(b > a for a, b in zip(xs, xs[1:]))
+        assert all(math.isfinite(v) for _, v in points)
 
 
 def test_phase_curve_monotone_on_positive_half():
-    phase, _ = emit_penalty_curves(CTX, theta_points=201)
-    pos = [(p, v) for p, v in phase.points if p >= 0]
-    vals = [v for _, v in pos]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-
-def test_penalty_curve_validation():
-    with pytest.raises(ValueError):
-        PenaltyCurve("x", ((0.0, 1.0), (0.0, 2.0)))
-    with pytest.raises(ValueError):
-        PenaltyCurve("x", ((0.0, math.inf),))
+    (_, phase), _ = emit_penalty_curves(CTX)
+    finer = [(float(t), phase_penalty_db(float(t)))
+             for t in np.linspace(-math.pi / 4, math.pi / 4, 201)]
+    for points in (phase, finer):
+        vals = [v for p, v in points if p >= 0]
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,24 @@ def _oracle_worst(ctx, num_points):
 def _oracle_time_curve(ctx, num_points):
     return tuple((float(t), _oracle_sinr_penalty_db(float(t), ctx))
                  for t in np.linspace(-0.5, 0.5, num_points))
+
+
+# the sweeps of avg_/worst_sinr_penalty_db and the time curve of
+# emit_penalty_curves on any grid size, built from the public array calls
+
+
+def _array_avg(ctx, num_points):
+    taus = np.linspace(-0.5, 0.5, num_points)
+    return 10.0 * math.log10(np.trapezoid(sinr_linear(taus, ctx), taus)) - ctx.snr0_db
+
+
+def _array_worst(ctx, num_points):
+    return min(sinr_penalty_db(np.linspace(0.0, 0.5, num_points), ctx).tolist())
+
+
+def _array_time_curve(ctx, num_points):
+    taus = np.linspace(-0.5, 0.5, num_points)
+    return list(zip(taus.tolist(), sinr_penalty_db(taus, ctx).tolist()))
 
 
 def _bits(values):
@@ -272,11 +297,18 @@ def test_isi_variance_array_checks_every_offset():
                          ids=["default", "r035_t8", "r0_t1"])
 @pytest.mark.parametrize("num_points", (2, 101, 1001))
 def test_penalty_sweeps_match_the_scalar_loops_bit_for_bit(ctx, num_points):
-    assert _bits(avg_sinr_penalty_db(ctx, num_points)) == _bits(_oracle_avg(ctx, num_points))
-    assert _bits(worst_sinr_penalty_db(ctx, num_points)) == \
-        _bits(_oracle_worst(ctx, num_points))
-    _, timec = emit_penalty_curves(ctx, theta_points=3, dt_points=num_points)
+    avg, worst = _array_avg(ctx, num_points), _array_worst(ctx, num_points)
+    assert _bits(avg) == _bits(_oracle_avg(ctx, num_points))
+    assert _bits(worst) == _bits(_oracle_worst(ctx, num_points))
+    timec = _array_time_curve(ctx, num_points)
     want = _oracle_time_curve(ctx, num_points)
-    assert [tuple(map(_bits, pt)) for pt in timec.points] == \
-        [tuple(map(_bits, pt)) for pt in want]
-    assert all(type(v) is float for pt in timec.points for v in pt)
+    assert [tuple(map(_bits, pt)) for pt in timec] == [tuple(map(_bits, pt)) for pt in want]
+    # the public sweeps are these at their fixed grid sizes
+    if num_points == 1001:
+        assert _bits(avg_sinr_penalty_db(ctx)) == _bits(avg)
+        assert _bits(worst_sinr_penalty_db(ctx)) == _bits(worst)
+    if num_points == 101:
+        _, (name, got) = emit_penalty_curves(ctx)
+        assert name == "time"
+        assert [tuple(map(_bits, pt)) for pt in got] == [tuple(map(_bits, pt)) for pt in want]
+        assert all(type(v) is float for pt in got for v in pt)

@@ -1,14 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pncsync.chain import (
     ChainConfig,
     effective_detection_errors,
     make_plan,
     partition_groups,
-    resync_period_bound,
     serialize_plan,
 )
 
@@ -127,32 +125,6 @@ def test_accumulated_grows_linearly_but_local_does_not():
     assert all(effective_detection_errors(plans[n], 2) == LOCAL for n in plans)
 
 
-def test_resync_period_bound_known_value():
-    t = resync_period_bound((0.01, 1e-9, 1e-12), (math.pi / 4, 1.0, 1.0))
-    assert t == pytest.approx((math.pi / 4) / 0.01)
-
-
-def test_resync_period_bound_zero_drift_unbounded():
-    assert resync_period_bound((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)) == math.inf
-
-
-@given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
-def test_resync_bound_halves_when_drift_doubles(d1, d2, d3):
-    tol = (1.0, 2.0, 3.0)
-    base = resync_period_bound((d1, d2, d3), tol)
-    doubled = resync_period_bound((2 * d1, 2 * d2, 2 * d3), tol)
-    assert doubled == pytest.approx(base / 2, rel=1e-9)
-
-
-def test_resync_validation():
-    with pytest.raises(ValueError):
-        resync_period_bound((0.1, 0.1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        resync_period_bound((-0.1, 0.1, 0.1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        resync_period_bound((0.1, 0.1, 0.1), (0.0, 1.0, 1.0))
-
-
 def test_serialization_deterministic_and_parsable():
     plan = make_plan(cfg(6), halved_sync=True)
     text = serialize_plan(plan)
@@ -170,6 +142,7 @@ def test_config_validation():
     for args in ((2, 1.0, 10.0, LOCAL), (5, 0.0, 10.0, LOCAL), (5, 1.0, -1.0, LOCAL),
                  (5, 1.0, 10.0, (0.1, 0.2)), (5, nan, 10.0, LOCAL), (5, inf, 10.0, LOCAL),
                  (5, 1.0, nan, LOCAL), (5, 1.0, inf, LOCAL), (5, 1.0, 10.0, (0.1, nan, 0.001)),
-                 (5, 1.0, 10.0, (0.1, 0.02, -inf)), (12, 1.0, 10.0, LOCAL)):
+                 (5, 1.0, 10.0, (0.1, 0.02, -inf)), (12, 1.0, 10.0, LOCAL),
+                 (5, 1.0, 10.0, (-0.1, 0.02, -0.001)), (5, 1.0, 10.0, (0.1, -1e-300, 0.0))):
         with pytest.raises(ValueError):
             ChainConfig(*args)

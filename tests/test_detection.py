@@ -20,7 +20,8 @@ def ml_pair(sample, hyp, noise_var) -> BitPair:
 def test_hypotheses_cardinality_any_theta():
     for theta in (-0.7, -0.2, 0.0, 0.3, 0.78):
         hyp = build_hypotheses(theta)
-        assert hyp.points.shape == (4, 4)
+        assert hyp.shape == (4, 4) and hyp.dtype == complex
+        assert not hyp.flags.writeable
 
 
 def test_hypotheses_reject_unfolded_theta():
@@ -33,14 +34,14 @@ def test_hypotheses_reject_unfolded_theta():
 def test_hypotheses_at_zero_offset_match_level_lattice():
     hyp = build_hypotheses(0.0)
     # class (0,1): I level +-2, Q level 0
-    c01 = hyp.points[1]
+    c01 = hyp[1]
     assert sorted(np.round(c01.real).astype(int)) == [-2, -2, 2, 2]
     assert np.allclose(c01.imag, 0.0, atol=1e-12)
     # class (1,1): all four generating pairs collapse on the origin
-    assert np.allclose(hyp.points[3], 0.0, atol=1e-12)
+    assert np.allclose(hyp[3], 0.0, atol=1e-12)
     # class (0,0): the four corners
     corners = {(-2, -2), (-2, 2), (2, -2), (2, 2)}
-    got = {(int(round(p.real)), int(round(p.imag))) for p in hyp.points[0]}
+    got = {(int(round(p.real)), int(round(p.imag))) for p in hyp[0]}
     assert got == corners
 
 
@@ -58,7 +59,7 @@ def test_ml_known_decisions():
     assert ml_pair(2.0 + 0.0j, hyp, 0.25) == BitPair(0, 1)
     # likelihood concentration: observation placed on a constellation point
     hyp8 = build_hypotheses(math.pi / 8)
-    p = hyp8.points[2][1]
+    p = hyp8[2][1]
     assert ml_pair(p, hyp8, 1e-4) == BitPair(1, 0)
 
 
@@ -81,7 +82,7 @@ def test_ml_matches_threshold_at_zero_offset():
 def test_ml_zero_variance_falls_back_to_nearest_point():
     hyp = build_hypotheses(0.1)
     for c in range(4):
-        for p in hyp.points[c]:
+        for p in hyp[c]:
             assert ml_pair(p, hyp, 0.0) == BitPair(c >> 1, c & 1)
 
 
@@ -175,11 +176,11 @@ def test_logsumexp_bits_match_scipy_on_hypothesis_sets(theta, noise_var):
     # have 2 or 4 equal maxima; samples placed on the points make them exact
     hyp = build_hypotheses(theta)
     rng = np.random.default_rng(7)
-    flat = hyp.points.reshape(-1)
+    flat = hyp.reshape(-1)
     r = np.concatenate([flat, flat[rng.integers(0, 16, 500)]
                         + math.sqrt(noise_var) * (rng.standard_normal(500)
                                                   + 1j * rng.standard_normal(500))])
-    e = -np.abs(r[:, None, None] - hyp.points[None, :, :]) ** 2 / (2.0 * noise_var)
+    e = -np.abs(r[:, None, None] - hyp[None, :, :]) ** 2 / (2.0 * noise_var)
     assert_same_bits(e, 2)
     assert_same_bits(e.reshape(-1, 16), 1)
     assert np.array_equal(ml_class_scores(r, hyp, noise_var),

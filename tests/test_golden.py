@@ -1,8 +1,9 @@
-"""The closed-form golden cases of scripts/golden_digests.py, byte for byte.
+"""Every golden case of scripts/golden_digests.py, byte for byte.
 
-`pnc penalty` and `pnc chain` take well under a second together, so any
-change to a digit of the penalty curves, their footer or a chain plan
-fails here, not only in the full golden run.
+The closed-form cases (`pnc penalty` and `pnc chain`) take well under a
+second and have a test of their own; the Monte-Carlo cases take a few
+seconds.  Together they cover the whole listing, so any changed digit of
+any output fails tier-1, not only an explicit `--check` run.
 """
 
 import importlib.util
@@ -23,6 +24,17 @@ def test_closed_form_outputs_match_the_checked_in_digests():
     got = golden.digests(CLOSED_FORM)
     assert sorted(got) == sorted(CLOSED_FORM)
     listing = (SCRIPTS / "golden_digests.txt").read_text(encoding="utf-8")
+    assert golden.check(listing, got, complete=False) == []
+
+
+def test_monte_carlo_outputs_match_the_checked_in_digests():
+    listing = (SCRIPTS / "golden_digests.txt").read_text(encoding="utf-8")
+    listed = [line.split()[0] for line in listing.splitlines() if line.strip()]
+    assert sorted(listed) == sorted([*golden.cases(), *golden.CONFIGS])
+    assert set(CLOSED_FORM) <= set(listed)
+    rest = [name for name in listed if name not in CLOSED_FORM]
+    got = golden.digests(rest)
+    assert sorted(got) == sorted(rest)
     assert golden.check(listing, got, complete=False) == []
 
 

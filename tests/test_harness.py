@@ -119,6 +119,18 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         parse_config_file(p)
 
 
+def test_config_file_separator_is_equals_only(tmp_path):
+    p = tmp_path / "sep.cfg"
+    p.write_text("output_path = run:1.csv\n", encoding="utf-8")
+    assert parse_config_file(p) == {"output_path": "run:1.csv"}
+    p.write_text("# colon form\nworkers: 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: expected 'key = value'")):
+        parse_config_file(p)
+    p.write_text("output_path: run=1.csv\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:1: unknown key 'output_path: run'")):
+        parse_config_file(p)
+
+
 def test_config_file_booleans_are_strict(tmp_path):
     p = tmp_path / "b.cfg"
     for word, want in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
@@ -148,7 +160,7 @@ _INT_KEYS = ("samples_per_point", "truncation", "master_seed", "workers", "frame
 _FLOAT_KEYS = ("offset_range", "rolloff", "chain_bg_time", "chain_period")
 _TUPLE_KEYS = ("snr_grid_db", "chain_local_errors")
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-_NAME = st.text("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._-/", min_size=1, max_size=20)
+_NAME = st.text("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789._-/:", min_size=1, max_size=20)
 
 
 def _value_and_text(key):
@@ -180,7 +192,7 @@ def _documents(draw):
     want, lines = {}, []
     for key in keys:
         value, text = draw(_value_and_text(key))
-        sep = draw(st.sampled_from([" = ", "=", ": ", " :"]))
+        sep = draw(st.sampled_from([" = ", "=", "  =  "]))
         tail = draw(st.sampled_from(["", "  ", " # note"]))
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "# comment", "   "])))
@@ -191,8 +203,7 @@ def _documents(draw):
 
 def _bad_line(kind, draw):
     if kind == "unknown":
-        key = draw(_NAME.filter(lambda k: k not in {f.name for f in fields(ExperimentConfig)}
-                                and "=" not in k and ":" not in k))
+        key = draw(_NAME.filter(lambda k: k not in {f.name for f in fields(ExperimentConfig)}))
         return key, f"{key} = 1", "unknown key"
     key = draw(st.sampled_from(_INT_KEYS + _FLOAT_KEYS + _TUPLE_KEYS + ("chain_halved",)))
     if key == "chain_halved":
@@ -532,7 +543,10 @@ def test_cli_bad_grid_exits_2_with_one_line(capsys):
     ("chain --bg-time nan", "bg_sync_time must be positive and finite, got nan"),
     ("chain --errors nan,1,1", "local_errors must be finite, got (nan, 1.0, 1.0)"),
     ("ber --seed -1 --snr-grid 4 --samples 1000", "master_seed must be >= 0, got -1"),
-], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed"])
+    ("chain --nodes 5 --errors=-0.1,0.02,-0.001",
+     "local_errors must be >= 0, got (-0.1, 0.02, -0.001)"),
+], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed",
+        "errors_negative"])
 def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
     assert cli_usage_error(argv.split(), capsys) == f"pnc: error: {message}"
 

@@ -5,18 +5,16 @@ import pytest
 
 from pncsync.detection import build_hypotheses
 from pncsync.harness import ExperimentConfig, MiEstimate, run_mi
-from pncsync.mutual_info import (
-    mi_given_theta,
-    mi_phase_unsync,
-    mi_time_unsync,
-    phase_offset_grid,
-)
+from pncsync.impairments import PulseShape
+from pncsync.mutual_info import PHASE_OFFSETS, mi_given_theta, mi_phase_unsync, mi_time_unsync
+
+PULSE, FRAME = PulseShape(), 1000  # the config defaults
 
 
 def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
     """Independent oracle: direct 2-D tensor-grid integration of I(X; r)."""
     s2 = 10.0 ** (-snr_db / 10.0)
-    pts = build_hypotheses(theta).points
+    pts = build_hypotheses(theta)
     lim = 2 * math.sqrt(2) + span * math.sqrt(s2)
     u = np.linspace(-lim, lim, ngrid)
     du = u[1] - u[0]
@@ -75,8 +73,8 @@ def test_mi_symmetric_in_offset_sign():
 
 
 def test_phase_offset_grid_is_midpoint_rule():
-    g = phase_offset_grid(20)
-    assert len(g) == 20
+    g = PHASE_OFFSETS
+    assert len(g) == 20 and not g.flags.writeable
     assert g[0] == pytest.approx(0.5 / 20 * math.pi / 4)
     assert g[-1] == pytest.approx(19.5 / 20 * math.pi / 4)
     assert g[-1] < math.pi / 4
@@ -87,35 +85,38 @@ def test_phase_average_lies_between_grid_extremes():
     snr = 4.0
     avg = mi_phase_unsync(snr, n, np.random.default_rng(21))
     per = [mi_given_theta(snr, t, 3_000, np.random.default_rng(22))
-           for t in phase_offset_grid(20)]
+           for t in PHASE_OFFSETS]
     assert min(per) - 0.02 <= avg <= max(per) + 0.02
 
 
 def test_phase_grid_20_vs_40_agree():
     snr = 5.0
-    a = mi_phase_unsync(snr, 400_000, np.random.default_rng(31), num_grid=20)
-    b = mi_phase_unsync(snr, 400_000, np.random.default_rng(32), num_grid=40)
+    a = mi_phase_unsync(snr, 400_000, np.random.default_rng(31))
+    # the same midpoint rule on twice the points, same total budget
+    rng = np.random.default_rng(32)
+    b = np.mean([mi_given_theta(snr, t, 400_000 // 40, rng)
+                 for t in (np.arange(40) + 0.5) / 40 * (math.pi / 4)])
     assert abs(a - b) < 0.01
 
 
 def test_time_unsync_zero_range_equals_perfect():
     snr = 5.0
     n = 100_000
-    t0 = mi_time_unsync(snr, 0.0, n, np.random.default_rng(41))
+    t0 = mi_time_unsync(snr, 0.0, n, np.random.default_rng(41), PULSE, FRAME)
     assert t0 == pytest.approx(FROZEN_QUAD[5.0], abs=0.01)
 
 
 def test_time_unsync_loss_grows_with_range():
     snr = 5.0
     n = 100_000
-    t2 = mi_time_unsync(snr, 0.2, n, np.random.default_rng(51))
-    t5 = mi_time_unsync(snr, 0.5, n, np.random.default_rng(52))
+    t2 = mi_time_unsync(snr, 0.2, n, np.random.default_rng(51), PULSE, FRAME)
+    t5 = mi_time_unsync(snr, 0.5, n, np.random.default_rng(52), PULSE, FRAME)
     assert t5 < t2 + 0.01
 
 
 def test_time_unsync_validates_range():
     with pytest.raises(ValueError):
-        mi_time_unsync(5.0, 0.6, 1000, np.random.default_rng(0))
+        mi_time_unsync(5.0, 0.6, 1000, np.random.default_rng(0), PULSE, FRAME)
 
 
 def test_mi_estimate_bounds_enforced():

@@ -18,7 +18,6 @@ KEPT = {
     "mapping.superpose_symbols": "the paper's PNC mapping table, checked by criterion 01",
     "mapping.pnc_xor_of_levels": "the paper's PNC mapping table, checked by criterion 01",
     "chain.effective_detection_errors": "scripts/reproduce_chain.py prints it",
-    "chain.resync_period_bound": "the chain analysis' resynchronization-period bound",
 }
 
 
