@@ -50,6 +50,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _common(sub):
+    sub.set_defaults(usage_error=sub.error)  # names this subcommand's usage
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, help="master RNG seed")
     sub.add_argument("--workers", type=int, help="batches per SNR point, run in turn, not in "
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
         else:
             cfg = harness.ExperimentConfig(**ov)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
 
     if cfg.command == "ber":
         results = harness.run_ber(cfg)

@@ -23,6 +23,13 @@ NUM_CLASSES = 4
 PAIRS_PER_CLASS = 4
 
 
+# Class-order index tables of build_hypotheses: entry (c, j) is the j-th
+# generating pair (b1, b3) of xor class c, as indices into ALL_BIT_PAIRS
+# (index 2*i + q, so the index of b1 ^ b3 is the xor of the indices).
+_S1 = np.tile(np.arange(PAIRS_PER_CLASS), (NUM_CLASSES, 1))
+_S3 = _S1 ^ np.arange(NUM_CLASSES)[:, None]
+
+
 def build_hypotheses(theta: float) -> np.ndarray:
     """The 16 superposed points s1 + s3*e^{j*theta}, grouped by xor class.
 
@@ -33,14 +40,8 @@ def build_hypotheses(theta: float) -> np.ndarray:
     """
     if not -math.pi / 4 <= theta < math.pi / 4:
         raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {theta}")
-    pts = np.zeros((NUM_CLASSES, PAIRS_PER_CLASS), dtype=complex)
-    count = [0] * NUM_CLASSES
-    for b1 in ALL_BIT_PAIRS:
-        for b3 in ALL_BIT_PAIRS:
-            c = 2 * (b1.i_bit ^ b3.i_bit) + (b1.q_bit ^ b3.q_bit)
-            pts[c, count[c]] = superpose_phase_offset(
-                qpsk_modulate(b1).as_complex(), qpsk_modulate(b3).as_complex(), theta)
-            count[c] += 1
+    sym = np.array([qpsk_modulate(b).as_complex() for b in ALL_BIT_PAIRS])
+    pts = superpose_phase_offset(sym[_S1], sym[_S3], theta)
     pts.setflags(write=False)
     return pts
 
@@ -90,13 +91,19 @@ def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray
     score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
     `logsumexp`, the kernel the mutual-information estimators share; equal
     priors over the 16 pairs make the class prior a common constant.
+
+    The distances are laid out class-major, (4, 4, N), so each reduction
+    over the four points of a class runs across whole rows of N samples;
+    the four terms add in the same order as along a short last axis, so
+    the scores are the same bits.  Returns the (N, 4) transposed view.
     """
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
-    d2 = np.abs(r[:, None, None] - points[None, :, :]) ** 2
+    d2 = np.abs(r[None, :] - points.reshape(-1, 1)) ** 2
+    d2 = d2.reshape(NUM_CLASSES, PAIRS_PER_CLASS, r.size)
     if noise_var == 0:
         # degenerate: likelihood concentrates on the nearest point
-        return -d2.min(axis=2)
-    return logsumexp(-d2 / (2.0 * noise_var), axis=2)
+        return -d2.min(axis=1).T
+    return logsumexp(-d2 / (2.0 * noise_var), axis=1).T
 
 
 def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:

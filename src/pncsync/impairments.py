@@ -76,36 +76,47 @@ def raised_cosine(t, rolloff: float = 0.5):
     x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.empty_like(x)
 
-    zero = np.abs(x) < _SING_TOL
+    ax = np.abs(x)
+    zero = ax < _SING_TOL
     if rolloff > 0.0:
-        sing = np.abs(np.abs(x) - 1.0 / (2 * rolloff)) < _SING_TOL
+        sing = np.abs(ax - 1.0 / (2 * rolloff)) < _SING_TOL
     else:
-        sing = np.zeros_like(x, dtype=bool)
-    ok = ~(zero | sing)
-
-    xo = x[ok]
-    out[ok] = (np.sin(np.pi * xo) * np.cos(np.pi * rolloff * xo)
-               / ((np.pi * xo) * (1.0 - (2 * rolloff * xo) ** 2)))
-    out[zero] = 1.0
-    if rolloff > 0.0:
-        out[sing] = (np.pi / 4) * np.sinc(1.0 / (2 * rolloff))
+        sing = np.zeros_like(zero)
+    if zero.any() or sing.any():
+        out = np.empty_like(x)
+        ok = ~(zero | sing)
+        out[ok] = _raised_cosine_formula(x[ok], rolloff)
+        out[zero] = 1.0
+        if rolloff > 0.0:
+            out[sing] = (np.pi / 4) * np.sinc(1.0 / (2 * rolloff))
+    else:
+        # elementwise, so the same bits as evaluating the entries one by one
+        out = _raised_cosine_formula(x, rolloff)
     return float(out[0]) if scalar else out
+
+
+def _raised_cosine_formula(x, rolloff: float):
+    """p(x) by its closed form, for inputs away from the removable singularities."""
+    return (np.sin(np.pi * x) * np.cos(np.pi * rolloff * x)
+            / ((np.pi * x) * (1.0 - (2 * rolloff * x) ** 2)))
 
 
 def _mid_offset_taps(dt_frac, pulse: PulseShape):
     """`isi_taps` for a scalar or a 1-D array of offsets (one row of taps per offset).
 
-    Broadcasts `lags +- dt/2` to shape dt.shape + (2L+1,) and evaluates the
+    Broadcasts `lags + dt/2` to shape dt.shape + (2L+1,) and evaluates the
     pulse elementwise, so each row is bit-identical to the scalar taps.
+    The pulse is even bit for bit, so the late taps p(lags - dt/2) are the
+    early taps reversed along the lag axis: a view of the same read-only
+    array.
     """
     L = pulse.truncation_symbols
     lags = np.arange(-L, L + 1)
     half = np.asarray(dt_frac, dtype=float)[..., None] / 2
     taps_early = raised_cosine(lags + half, pulse.rolloff)
-    taps_late = raised_cosine(lags - half, pulse.rolloff)
-    return lags, taps_early, taps_late
+    taps_early.setflags(write=False)
+    return lags, taps_early, taps_early[..., ::-1]
 
 
 def isi_taps(dt_frac: float, pulse: PulseShape):
@@ -118,7 +129,7 @@ def isi_taps(dt_frac: float, pulse: PulseShape):
     train is shifted +dt/2 from the sampling comb, the late train -dt/2,
     so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry the
     desired symbols and, the pulse being even, taps_late is taps_early
-    reversed.
+    reversed (a read-only view of it).
     """
     return _mid_offset_taps(float(dt_frac), pulse)
 

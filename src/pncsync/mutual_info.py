@@ -40,8 +40,7 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    points = build_hypotheses(theta)
-    flat = points.reshape(-1)
+    flat = build_hypotheses(theta).reshape(-1)
     s2 = 10.0 ** (-snr_db / 10.0)
     sd = math.sqrt(s2)
     total = 0.0
@@ -51,9 +50,12 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
         idx = rng.integers(0, 16, n)
         cls = idx >> 2  # row-major: point j of class c sits at 4c + j
         r = flat[idx] + sd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        e = -np.abs(r[:, None, None] - points[None, :, :]) ** 2 / (2.0 * s2)
-        num = logsumexp(e, axis=2)[np.arange(n), cls]
-        den = logsumexp(e.reshape(n, 16), axis=1)
+        # class-major (16, n): the per-class sums run over whole rows, in the
+        # same order as along a short last axis; the 16-term sum is pairwise,
+        # so it keeps the contiguous (n, 16) layout
+        e = -np.abs(r[None, :] - flat[:, None]) ** 2 / (2.0 * s2)
+        num = logsumexp(e.reshape(4, 4, n), axis=1)[cls, np.arange(n)]
+        den = logsumexp(np.ascontiguousarray(e.T), axis=1)
         total += float(np.sum(num - den)) / _LOG2 + n * 2.0
         left -= n
     return 0.5 * total / num_samples
@@ -114,9 +116,16 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
         veff = sd_half * sd_half + tail_var
         d = r[:, None] - atoms[None, :]
         k = atoms.size
-        log_b0 = logsumexp(np.concatenate([-(d - level) ** 2, -(d + level) ** 2],
-                                          axis=1) / (2.0 * veff), axis=1) - math.log(2 * k)
-        log_b1 = logsumexp(-d ** 2 / (2.0 * veff), axis=1) - math.log(k)
+        # exponents -(d -+ level)^2 / (2 veff) of both bit-0 levels, side by side
+        e0 = np.empty((frame_len, 2 * k))
+        np.subtract(d, level, out=e0[:, :k])
+        np.add(d, level, out=e0[:, k:])
+        for e in (e0, d):
+            np.square(e, out=e)
+            np.negative(e, out=e)
+            e /= 2.0 * veff
+        log_b0 = logsumexp(e0, axis=1) - math.log(2 * k)
+        log_b1 = logsumexp(d, axis=1) - math.log(k)
         log_x = np.where(xbit == 0, log_b0, log_b1)
         log_mix = logsumexp(np.stack([log_b0, log_b1], axis=1), axis=1) - _LOG2
         total += float(np.sum(log_x - log_mix)) / _LOG2

@@ -1,11 +1,31 @@
-"""Test-only references: the brute-force minimum distance (criterion 09) and
-the horizontal SNR gaps read off BER and MI curves (criteria 07 and 08)."""
+"""Test-only references: the scalar enumeration of the 16 superposed points,
+the brute-force minimum distance (criterion 09) and the horizontal SNR gaps
+read off BER and MI curves (criteria 07 and 08)."""
 
 import math
 
 import numpy as np
 
-from pncsync.detection import NUM_CLASSES
+from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS
+from pncsync.impairments import superpose_phase_offset
+from pncsync.mapping import ALL_BIT_PAIRS, qpsk_modulate
+
+
+def hypotheses_by_enumeration(theta: float) -> np.ndarray:
+    """The 16 points s1 + s3*e^{j*theta} by xor class, one scalar pair at a time.
+
+    Row c holds the points of the pairs with (i1^i3, q1^q3) == (c >> 1, c & 1),
+    in s1-major order: the reference for `build_hypotheses`.
+    """
+    pts = np.zeros((NUM_CLASSES, PAIRS_PER_CLASS), dtype=complex)
+    count = [0] * NUM_CLASSES
+    for b1 in ALL_BIT_PAIRS:
+        for b3 in ALL_BIT_PAIRS:
+            c = 2 * (b1.i_bit ^ b3.i_bit) + (b1.q_bit ^ b3.q_bit)
+            pts[c, count[c]] = superpose_phase_offset(
+                qpsk_modulate(b1).as_complex(), qpsk_modulate(b3).as_complex(), theta)
+            count[c] += 1
+    return pts
 
 
 def min_interclass_distance_sq(points) -> float:

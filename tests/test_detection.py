@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp  # oracle of the numpy kernel
 
 from pncsync.detection import (build_hypotheses, logsumexp, ml_class_scores, ml_xor_bits,
                                threshold_bits)
 from pncsync.mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
 from pncsync import analysis
-from oracles import min_interclass_distance_sq
+from oracles import hypotheses_by_enumeration, min_interclass_distance_sq
 
 
 def ml_pair(sample, hyp, noise_var) -> BitPair:
@@ -22,6 +22,18 @@ def test_hypotheses_cardinality_any_theta():
         hyp = build_hypotheses(theta)
         assert hyp.shape == (4, 4) and hyp.dtype == complex
         assert not hyp.flags.writeable
+
+
+@given(st.floats(-math.pi / 4, math.pi / 4, exclude_max=True))
+@example(-math.pi / 4)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(math.nextafter(math.pi / 4, 0.0))
+def test_hypotheses_match_the_scalar_enumeration_bit_for_bit(theta):
+    got = build_hypotheses(theta)
+    want = hypotheses_by_enumeration(theta)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_hypotheses_reject_unfolded_theta():
@@ -125,11 +137,12 @@ def test_ml_decision_is_deterministic(theta, x, y):
 # ---------------------------------------------------------------------------
 # log-sum-exp kernel: bit for bit the same as scipy.special.logsumexp
 
-# every (shape, axis) the package reduces: ML class scores and the per-class
-# MI numerator (n, 4, 4) axis 2, the MI denominator (n, 16), the time-offset
-# mixtures (n, 2k) and (n, k) with k = 256 atoms, and the two-bit mix (n, 2)
+# every (shape, axis) the package reduces: the MI denominator (n, 16), the
+# time-offset mixtures (n, 2k) and (n, k) with k = 256 atoms, the two-bit mix
+# (n, 2), and the ML class scores and per-class MI numerator (4, 4, n) axis 1;
+# plus the sample-major (n, 4, 4) axis 2 the class scores are checked against
 KERNEL_SHAPES = [((300, 4, 4), 2), ((300, 16), 1), ((40, 512), 1), ((40, 256), 1),
-                 ((300, 2), 1), ((50, 1), 1)]
+                 ((300, 2), 1), ((50, 1), 1), ((4, 4, 300), 1)]
 
 
 def assert_same_bits(a, axis):
@@ -169,19 +182,42 @@ def test_logsumexp_bits_match_scipy(shape, axis, kind):
     assert_same_bits(kernel_input(shape, axis, kind, rng), axis)
 
 
+def assert_scores_match_scipy(theta, noise_var, rng):
+    """ml_class_scores against scipy on the sample-major (n, 4, 4) exponents.
+
+    Samples sit on the 16 points and around them; at theta = 0 several
+    points coincide, so rows have 2 or 4 equal maxima.  Returns the
+    exponents (None for noise_var == 0, whose scores are -min distance).
+    """
+    hyp = build_hypotheses(theta)
+    flat = hyp.reshape(-1)
+    sd = math.sqrt(noise_var) if noise_var else 0.3
+    r = np.concatenate([flat, flat[rng.integers(0, 16, 500)]
+                        + sd * (rng.standard_normal(500) + 1j * rng.standard_normal(500))])
+    d2 = np.abs(r[:, None, None] - hyp[None, :, :]) ** 2
+    got = ml_class_scores(r, hyp, noise_var)
+    assert got.shape == (r.size, 4)
+    if noise_var == 0:
+        want, e = -d2.min(axis=2), None
+    else:
+        e = -d2 / (2.0 * noise_var)
+        want = scipy_logsumexp(e, axis=2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return e
+
+
 @pytest.mark.parametrize("theta", [0.0, -math.pi / 4, 0.3])
 @pytest.mark.parametrize("noise_var", [1.0, 0.05, 1e-4])
 def test_logsumexp_bits_match_scipy_on_hypothesis_sets(theta, noise_var):
-    # at theta = 0 several of the 16 superposed points coincide, so rows
-    # have 2 or 4 equal maxima; samples placed on the points make them exact
-    hyp = build_hypotheses(theta)
-    rng = np.random.default_rng(7)
-    flat = hyp.reshape(-1)
-    r = np.concatenate([flat, flat[rng.integers(0, 16, 500)]
-                        + math.sqrt(noise_var) * (rng.standard_normal(500)
-                                                  + 1j * rng.standard_normal(500))])
-    e = -np.abs(r[:, None, None] - hyp[None, :, :]) ** 2 / (2.0 * noise_var)
+    e = assert_scores_match_scipy(theta, noise_var, np.random.default_rng(7))
     assert_same_bits(e, 2)
     assert_same_bits(e.reshape(-1, 16), 1)
-    assert np.array_equal(ml_class_scores(r, hyp, noise_var),
-                          scipy_logsumexp(e, axis=2))
+
+
+@given(st.floats(-math.pi / 4, math.pi / 4, exclude_max=True),
+       st.one_of(st.just(0.0), st.floats(-5.0, 1.0).map(lambda x: 10.0 ** x)),
+       st.integers(0, 2**32 - 1))
+@example(0.0, 0.0, 7)
+@example(0.3, 0.0, 7)
+def test_ml_class_scores_bits_match_scipy_at_any_offset_and_variance(theta, noise_var, seed):
+    assert_scores_match_scipy(theta, noise_var, np.random.default_rng(seed))

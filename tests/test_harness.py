@@ -29,13 +29,19 @@ def perfect_ber_theory(snr_db):
 
 
 def cli_usage_error(argv, capsys) -> str:
-    """The one-line message `pnc` exits 2 with on bad input, without a traceback."""
+    """The one-line message `pnc` exits 2 with on bad input, without a traceback.
+
+    The usage line above it is that of the subcommand the message names.
+    """
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    return err.splitlines()[-1]
+    lines = err.splitlines()
+    prog = lines[-1].partition(": error: ")[0]
+    assert lines[0].startswith(f"usage: {prog} "), (lines[0], prog)
+    return lines[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +85,12 @@ def test_config_validation(tmp_path, capsys):
     for argv in (["ber", "--scenario", "perfect", "--rolloff", "7", "--snr-grid", "4"],
                  ["mi", "--scenario", "phase_unsync", "--rolloff", "-3", "--snr-grid", "4"],
                  ["penalty", "--rolloff", "1.5"]):
-        assert re.fullmatch(r"pnc: error: rolloff must be in .*", cli_usage_error(argv, capsys))
+        assert re.fullmatch(f"pnc {argv[0]}: error: rolloff must be in .*",
+                            cli_usage_error(argv, capsys))
     p = tmp_path / "t0.cfg"
     p.write_text("command = penalty\ntruncation = 0\n", encoding="utf-8")
     assert cli_usage_error(["penalty", "--config", str(p)], capsys) == \
-        "pnc: error: truncation must be >= 1, got 0"
+        "pnc penalty: error: truncation must be >= 1, got 0"
     # library callers still get the ValueError
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         config_from_file(p)
@@ -527,12 +534,28 @@ def test_cli_grid_rejects_unbounded_or_collapsing_ranges(text):
 @pytest.mark.parametrize("grid", ["nan", "0,inf"])
 def test_cli_rejects_non_finite_snr(grid, capsys):
     msg = cli_usage_error(["ber", "--snr-grid", grid, "--samples", "2000"], capsys)
-    assert msg.startswith("pnc: error: ") and "finite" in msg
+    assert msg.startswith("pnc ber: error: ") and "finite" in msg
+
+
+@pytest.mark.parametrize("argv", ["chain --nodes 5 --errors=-0.1,0.02,-0.001",
+                                  "ber --snr-grid 5:1"])
+def test_cli_config_error_shows_the_subcommand_usage(argv, capsys):
+    # a rejected value is reported by the chosen subcommand's parser, so the
+    # usage line lists that subcommand's options, not the command list
+    cmd = argv.split()[0]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv.split())
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: pnc {cmd} [-h]")
+    assert not any("{ber,mi,penalty,chain}" in line for line in lines)
+    assert ("--errors" if cmd == "chain" else "--snr-grid") in " ".join(lines[:-1])
+    assert lines[-1].startswith(f"pnc {cmd}: error: ")
 
 
 def test_cli_bad_grid_exits_2_with_one_line(capsys):
     assert cli_usage_error(["ber", "--snr-grid", "5:1"], capsys) == \
-        "pnc: error: snr grid '5:1': stop is below start"
+        "pnc ber: error: snr grid '5:1': stop is below start"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -548,7 +571,7 @@ def test_cli_bad_grid_exits_2_with_one_line(capsys):
 ], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed",
         "errors_negative"])
 def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
-    assert cli_usage_error(argv.split(), capsys) == f"pnc: error: {message}"
+    assert cli_usage_error(argv.split(), capsys) == f"pnc {argv.split()[0]}: error: {message}"
 
 
 def test_cli_mi_smoke(tmp_path):

@@ -244,16 +244,54 @@ TAP_OFFSETS = sorted(set(np.linspace(-0.5, 0.5, 129).tolist())
 
 
 @pytest.mark.parametrize("rolloff", (0.0,) + _bench_rolloffs())
+def test_raised_cosine_one_piece_matches_the_masked_path_bit_for_bit(rolloff):
+    # an array with no input within 1e-9 of a removable singularity is
+    # evaluated in one piece, one with such an input through the masks;
+    # every regular entry must get the same bits either way
+    sing = [0.0] + ([1.0 / (2 * rolloff)] if rolloff > 0 else [])
+    limits = [1.0] + ([(math.pi / 4) * np.sinc(1.0 / (2 * rolloff))] if rolloff > 0 else [])
+    inside = (0.0, 5e-10, -5e-10, 9.9e-10, -9.9e-10)
+    outside = (1.01e-9, -1.01e-9, 2e-9, -2e-9, 1e-6, -1e-6)
+    near = np.array([sign * s + d for s in sing for sign in (1, -1) for d in inside])
+    want_near = np.repeat(limits, 2 * len(inside))
+    grid = (np.arange(-12, 13)[:, None] + np.array(TAP_OFFSETS) / 2).ravel()
+    regular = np.concatenate([grid, [sign * s + d for s in sing for sign in (1, -1)
+                                     for d in outside]])
+    regular = regular[np.all(np.abs(np.abs(regular)[:, None] - sing) >= 1e-9, axis=1)]
+    assert regular.size > 3000
+
+    one_piece = raised_cosine(regular, rolloff)
+    masked = raised_cosine(np.concatenate([regular, near]), rolloff)
+    assert np.array_equal(masked[:regular.size].view(np.uint64), one_piece.view(np.uint64))
+    assert np.array_equal(masked[regular.size:], want_near)
+    for i in range(0, regular.size, 97):  # scalars take the same path
+        assert raised_cosine(float(regular[i]), rolloff) == one_piece[i]
+
+
+@pytest.mark.parametrize("rolloff", (0.0,) + _bench_rolloffs())
 def test_isi_taps_late_is_early_reversed_bit_for_bit(rolloff):
-    # the pulse is even, so taps_late[j] == taps_early[-j] exactly; the
-    # atom-merging shortcut of the time-offset MI rests on this identity
+    # isi_taps returns the late taps as the early taps reversed, which holds
+    # because the pulse is even bit for bit: check both against the pulse
+    # evaluated at lags -+ dt/2 directly (the atom-merging shortcut of the
+    # time-offset MI rests on the same identity)
     assert 0.5 in TAP_OFFSETS and -0.5 in TAP_OFFSETS
     for L in (1, 16, 40):
         pulse = PulseShape(rolloff, L)
         for dt in TAP_OFFSETS:
-            _, te, tl = isi_taps(dt, pulse)
-            assert np.array_equal(te.view(np.uint64), tl[::-1].view(np.uint64)), (L, dt)
+            lags, te, tl = isi_taps(dt, pulse)
+            want_te = raised_cosine(lags + dt / 2, rolloff)
+            want_tl = raised_cosine(lags - dt / 2, rolloff)
+            assert np.array_equal(te.view(np.uint64), want_te.view(np.uint64)), (L, dt)
+            assert np.array_equal(tl.view(np.uint64), want_tl.view(np.uint64)), (L, dt)
             assert te[L] == raised_cosine(dt / 2, rolloff), (L, dt)  # the runners' p(dt/2)
+
+
+def test_isi_taps_are_read_only():
+    # taps_late is a view of taps_early: no caller may write through either
+    _, te, tl = isi_taps(0.3, PulseShape())
+    assert not te.flags.writeable and not tl.flags.writeable
+    with pytest.raises(ValueError):
+        tl[0] = 1.0
 
 
 @pytest.mark.parametrize("rolloff", (0.0, 0.35, 1.0))
