@@ -53,9 +53,9 @@ def fold_phase(theta: float) -> tuple[float, int]:
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    k = math.floor((theta + math.pi / 4) / QUARTER)
-    folded = theta - k * QUARTER
-    return folded, k % 4
+    folded = math.remainder(theta, QUARTER)  # exactly theta - k*QUARTER, in [-pi/4, pi/4]
+    folded = -folded if folded == math.pi / 4 else folded  # the range is half-open
+    return folded, round((theta - folded) / QUARTER) % 4
 
 
 def superpose_phase_offset(s1: complex, s3: complex, theta: float) -> complex:

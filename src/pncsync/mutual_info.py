@@ -5,10 +5,10 @@ All estimates are I(X; r)/2 in bits per real dimension, where X is the
 the information is computed jointly in 2-D and halved.  With a time
 offset (phase perfect) the dimensions decouple and the per-dimension
 binary xor information is computed directly from the scalar mid-offset
-sample, with neighbor-symbol interference marginalized as part of the
-channel.  Gaussian mixtures are evaluated in the log domain by the
-shared max-shifted kernel `detection.logsumexp`, so high-SNR runs do not
-underflow.
+sample, the nearest neighbors' ISI marginalized as 81 distinct values
+weighted by multiplicity.  Gaussian mixtures are evaluated in the log
+domain by the shared max-shifted kernel `detection.logsumexp`, so
+high-SNR runs do not underflow.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ PHASE_OFFSETS.setflags(write=False)
 _LOG2 = math.log(2.0)
 _CHUNK = 1 << 16
 _ENUM_WINDOW = 2  # neighbors per side whose ISI the time-offset MI enumerates exactly
+_ISI_PATTERNS = 2 ** (4 * _ENUM_WINDOW)  # equally likely sign patterns of those neighbors
+_WINDOW_LAGS = np.r_[-_ENUM_WINDOW:0, 1:_ENUM_WINDOW + 1]
+# one row per distinct window ISI value: (a + a')/2 of each tap-sharing pair, in {-1, 0, 1}
+_ISI_COEF = np.indices((3,) * 2 * _ENUM_WINDOW).reshape(2 * _ENUM_WINDOW, -1).T - 1.0
+_ISI_LOG_W = np.count_nonzero(_ISI_COEF == 0, axis=1) * _LOG2  # log-multiplicity of each row
 
 
 def mi_given_theta(snr_db: float, theta: float, num_samples: int,
@@ -71,21 +76,18 @@ def mi_phase_unsync(snr_db: float, num_samples: int, rng: np.random.Generator) -
     return float(np.mean(vals))
 
 
-def _window_isi_atoms(taps_early, taps_late, lags):
-    """Enumerate the mid-offset ISI of the |lag| <= _ENUM_WINDOW neighbors exactly.
+def _window_isi_atoms(taps_early, lags):
+    """The ISI of the |lag| <= _ENUM_WINDOW neighbors as weighted atoms.
 
-    Returns (atoms, tail_var): equally likely ISI values of the enumerated
-    neighbor bits of both trains (with the 1/2 amplitude convention), and
-    the variance of the truncated remainder to fold into the noise.
+    Neighbor j of the early train and -j of the late one share the tap
+    h_j = taps_early[j] (0 past the truncation; the late taps are the early
+    ones reversed) and add (a + a')/2 * h_j: -h_j, 0, 0 or +h_j.  Returns
+    (atoms, log_w, tail_var): the distinct ISI values, the log of how many
+    of the _ISI_PATTERNS sign patterns give each, and the tail variance.
     """
-    wsel = (np.abs(lags) <= _ENUM_WINDOW) & (lags != 0)
-    tsel = np.abs(lags) > _ENUM_WINDOW
-    wtaps = np.concatenate([taps_early[wsel], taps_late[wsel]])
-    k = wtaps.size
-    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * k)).T.reshape(-1, k)
-    atoms = 0.5 * (signs @ wtaps)
-    tail_var = 0.25 * float(np.sum(taps_early[tsel] ** 2) + np.sum(taps_late[tsel] ** 2))
-    return atoms, tail_var
+    h = np.pad(taps_early, _ENUM_WINDOW)[lags[-1] + _ENUM_WINDOW + _WINDOW_LAGS]
+    tail = taps_early[np.abs(lags) > _ENUM_WINDOW] ** 2
+    return _ISI_COEF @ h, _ISI_LOG_W, 0.25 * float(np.sum(tail) + np.sum(tail[::-1]))
 
 
 def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
@@ -96,14 +98,13 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
     frame is synthesized through the mid-offset sampler, and the
     information of the current xor bit given the scalar sample is
     accumulated.  Neighbor bits are channel randomness, not known: the
-    conditional densities mix the exactly enumerated ISI of the
-    |lag| <= _ENUM_WINDOW neighbors, with the truncated tail folded into
-    the noise variance.  num_samples rounds up to whole frames.
+    conditional densities mix the ISI of the |lag| <= _ENUM_WINDOW
+    neighbors exactly, as weighted atoms, with the truncated tail folded
+    into the noise variance.  num_samples rounds up to whole frames.
     """
     if not 0.0 <= dt_half_range <= 0.5:
         raise ValueError(f"dt_half_range must be in [0, 0.5], got {dt_half_range}")
     sd_half = 0.5 * 10.0 ** (-snr_db / 20.0)  # half-amplitude convention
-    L = pulse.truncation_symbols
     nframes = max(1, math.ceil(num_samples / frame_len))
     total = 0.0
     for _ in range(nframes):
@@ -111,21 +112,20 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
         lags, te, tl = isi_taps(dt, pulse)
         r, xbit = time_offset_frame(frame_len, te, tl, sd_half, rng)
 
-        level = te[L]  # p(dt/2); per-dim levels are 0 and +-2*(level/2)
-        atoms, tail_var = _window_isi_atoms(te, tl, lags)
+        level = te[pulse.truncation_symbols]  # p(dt/2); per-dim levels 0 and +-2*(level/2)
+        atoms, log_w, tail_var = _window_isi_atoms(te, lags)
         veff = sd_half * sd_half + tail_var
         d = r[:, None] - atoms[None, :]
-        k = atoms.size
-        # exponents -(d -+ level)^2 / (2 veff) of both bit-0 levels, side by side
-        e0 = np.empty((frame_len, 2 * k))
-        np.subtract(d, level, out=e0[:, :k])
-        np.add(d, level, out=e0[:, k:])
+        # exponents log_w - (d -+ level)^2 / (2 veff) of both bit-0 levels, side by side
+        e0 = np.empty((frame_len, 2, atoms.size))
+        np.subtract(d, level, out=e0[:, 0])
+        np.add(d, level, out=e0[:, 1])
         for e in (e0, d):
             np.square(e, out=e)
-            np.negative(e, out=e)
             e /= 2.0 * veff
-        log_b0 = logsumexp(e0, axis=1) - math.log(2 * k)
-        log_b1 = logsumexp(d, axis=1) - math.log(k)
+            np.subtract(log_w, e, out=e)
+        log_b0 = logsumexp(e0.reshape(frame_len, -1), axis=1) - math.log(2 * _ISI_PATTERNS)
+        log_b1 = logsumexp(d, axis=1) - math.log(_ISI_PATTERNS)
         log_x = np.where(xbit == 0, log_b0, log_b1)
         log_mix = logsumexp(np.stack([log_b0, log_b1], axis=1), axis=1) - _LOG2
         total += float(np.sum(log_x - log_mix)) / _LOG2

@@ -1,14 +1,17 @@
 """Test-only references: the scalar enumeration of the 16 superposed points,
-the brute-force minimum distance (criterion 09) and the horizontal SNR gaps
-read off BER and MI curves (criteria 07 and 08)."""
+the brute-force minimum distance (criterion 09), the 2^8 sign patterns of
+the time-offset MI's window ISI, the 2-D grid integral of the phase-offset
+MI, and the horizontal SNR gaps read off BER and MI curves (criteria 07
+and 08)."""
 
 import math
 
 import numpy as np
 
-from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS
+from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses
 from pncsync.impairments import superpose_phase_offset
 from pncsync.mapping import ALL_BIT_PAIRS, qpsk_modulate
+from pncsync.mutual_info import _ENUM_WINDOW
 
 
 def hypotheses_by_enumeration(theta: float) -> np.ndarray:
@@ -39,6 +42,48 @@ def min_interclass_distance_sq(points) -> float:
             d = np.abs(points[ca][:, None] - points[cb][None, :]) ** 2
             best = min(best, float(d.min()))
     return best
+
+
+def isi_atoms_by_enumeration(taps_early, taps_late, lags):
+    """Every sign pattern of the window neighbors of both trains, one by one.
+
+    The window is the |lag| <= `mutual_info._ENUM_WINDOW` neighbors that
+    lie inside the truncation.  Returns (atoms, tail_var): the 2^k equally
+    likely ISI values of the k window taps (1/2 amplitude convention; 2^8
+    unless the truncation is narrower than the window) and the variance of
+    the truncated remainder: the reference for
+    `mutual_info._window_isi_atoms`, which merges the patterns that give
+    the same value.
+    """
+    wsel = (np.abs(lags) <= _ENUM_WINDOW) & (lags != 0)
+    tsel = np.abs(lags) > _ENUM_WINDOW
+    wtaps = np.concatenate([taps_early[wsel], taps_late[wsel]])
+    k = wtaps.size
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * k)).T.reshape(-1, k)
+    atoms = 0.5 * (signs @ wtaps)
+    tail_var = 0.25 * float(np.sum(taps_early[tsel] ** 2) + np.sum(taps_late[tsel] ** 2))
+    return atoms, tail_var
+
+
+def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
+    """I(X; r)/2 at one phase offset by direct 2-D tensor-grid integration."""
+    s2 = 10.0 ** (-snr_db / 10.0)
+    pts = build_hypotheses(theta)
+    lim = 2 * math.sqrt(2) + span * math.sqrt(s2)
+    u = np.linspace(-lim, lim, ngrid)
+    du = u[1] - u[0]
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    r = uu + 1j * vv
+    lik = np.array([
+        np.mean([np.exp(-np.abs(r - p) ** 2 / (2 * s2)) for p in pts[c]], axis=0)
+        for c in range(4)
+    ]) / (2 * math.pi * s2)
+    mix = lik.mean(axis=0)
+    total = 0.0
+    for c in range(4):
+        w = lik[c] > 0
+        total += 0.25 * float(np.sum(lik[c][w] * np.log2(lik[c][w] / mix[w]))) * du * du
+    return 0.5 * total
 
 
 def snr_at_level(snrs, values, level, log_scale=False):

@@ -53,6 +53,30 @@ def test_fold_phase_range_and_reconstruction(theta):
     assert abs(diff - round(diff)) < 1e-12
 
 
+@pytest.mark.parametrize("theta, want", [
+    (math.nextafter(math.pi / 4, 0), (math.nextafter(math.pi / 4, 0), 0)),
+    (math.pi / 4, (-math.pi / 4, 1)),
+    (-math.pi / 4, (-math.pi / 4, 0)),
+], ids=["below_pi/4", "pi/4", "-pi/4"])
+def test_fold_phase_at_the_quadrant_edges(theta, want):
+    assert fold_phase(theta) == want
+
+
+def test_fold_phase_range_next_to_every_quadrant_edge():
+    # the 13 floats around each edge pi/4 + m*pi/2 within [-50, 50], which the
+    # hypothesis draws above practically never hit
+    for m in range(-32, 31):
+        theta = math.pi / 4 + m * math.pi / 2
+        for _ in range(6):
+            theta = math.nextafter(theta, -math.inf)
+        for _ in range(13):
+            folded, k = fold_phase(theta)
+            assert -math.pi / 4 <= folded < math.pi / 4, theta
+            diff = (theta - folded - k * math.pi / 2) / (2 * math.pi)
+            assert abs(diff - round(diff)) < 1e-12
+            theta = math.nextafter(theta, math.inf)
+
+
 @given(st.floats(-20.0, 20.0), st.sampled_from(QPSK), st.sampled_from(QPSK))
 def test_detection_equivalence_under_folding(theta, s1, s3):
     # rotating s3 by the folded-out quadrants reproduces the raw superposition

@@ -1,35 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from pncsync.detection import build_hypotheses
+from pncsync.detection import logsumexp
 from pncsync.harness import ExperimentConfig, MiEstimate, run_mi
-from pncsync.impairments import PulseShape
-from pncsync.mutual_info import PHASE_OFFSETS, mi_given_theta, mi_phase_unsync, mi_time_unsync
+from pncsync.impairments import PulseShape, isi_taps
+from pncsync.mutual_info import (PHASE_OFFSETS, _window_isi_atoms, mi_given_theta,
+                                 mi_phase_unsync, mi_time_unsync)
+from oracles import isi_atoms_by_enumeration, quadrature_mi_bits_per_dim
 
 PULSE, FRAME = PulseShape(), 1000  # the config defaults
-
-
-def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
-    """Independent oracle: direct 2-D tensor-grid integration of I(X; r)."""
-    s2 = 10.0 ** (-snr_db / 10.0)
-    pts = build_hypotheses(theta)
-    lim = 2 * math.sqrt(2) + span * math.sqrt(s2)
-    u = np.linspace(-lim, lim, ngrid)
-    du = u[1] - u[0]
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    r = uu + 1j * vv
-    lik = np.array([
-        np.mean([np.exp(-np.abs(r - p) ** 2 / (2 * s2)) for p in pts[c]], axis=0)
-        for c in range(4)
-    ]) / (2 * math.pi * s2)
-    mix = lik.mean(axis=0)
-    total = 0.0
-    for c in range(4):
-        w = lik[c] > 0
-        total += 0.25 * float(np.sum(lik[c][w] * np.log2(lik[c][w] / mix[w]))) * du * du
-    return 0.5 * total
 
 
 # frozen oracle outputs (801 and 1201 grids agree to 5 decimals)
@@ -112,6 +94,90 @@ def test_time_unsync_loss_grows_with_range():
     t2 = mi_time_unsync(snr, 0.2, n, np.random.default_rng(51), PULSE, FRAME)
     t5 = mi_time_unsync(snr, 0.5, n, np.random.default_rng(52), PULSE, FRAME)
     assert t5 < t2 + 0.01
+
+
+def test_time_unsync_at_40db_is_finite_and_at_most_one():
+    # the log-weights move the max-shift of every row, and at 40 dB a row's
+    # exponents span about 1e4 to 1e5.  Where the two bits' densities do not
+    # overlap, a sample adds log 2 / log 2 up to rounding, so the mean can sit
+    # one ulp above 1 (run_mi clips it); more than that is an error
+    got = mi_time_unsync(40.0, 0.5, 3000, np.random.default_rng(0), PULSE, FRAME)
+    assert math.isfinite(got)
+    assert 0.0 <= got <= 1.0 + 2 * sys.float_info.epsilon
+
+
+# Outputs of the enumeration kernel (2^k equally likely window patterns)
+# that the weighted atoms replaced, for pulses truncated inside the window.
+FROZEN_NARROW_TIME05 = {1: (0.2977547859519298, 0.8856849401977807, 1.0),
+                        2: (0.26258075350035176, 0.8735328149007955, 1.0)}
+
+
+@pytest.mark.parametrize("trunc", sorted(FROZEN_NARROW_TIME05))
+def test_time_unsync_mi_with_truncation_inside_the_window(trunc):
+    # a truncation of 1 leaves 2 window taps, not 4: the others are 0
+    cfg = ExperimentConfig(command="mi", scenario="time_unsync", offset_range=0.5,
+                           truncation=trunc, snr_grid_db=(0.0, 10.0, 40.0),
+                           samples_per_point=2000, master_seed=3)
+    got = [e.mi_bits_per_dim for e in run_mi(cfg)]
+    np.testing.assert_allclose(got, FROZEN_NARROW_TIME05[trunc], rtol=0, atol=1e-15)
+
+
+# The 81 weighted atoms against the 2^8 sign patterns they regroup.
+ATOM_CASES = [(dt, b, trunc) for dt in (0.0, 0.1, -0.1, 0.37, -0.37, 0.5, -0.5)
+              for b in (0.0, 0.25, 0.5, 1.0) for trunc in (1, 2, 8, 16)]
+
+
+def _atoms_both_ways(dt, rolloff, trunc):
+    lags, te, tl = isi_taps(dt, PulseShape(rolloff, trunc))
+    return te[trunc], _window_isi_atoms(te, lags), isi_atoms_by_enumeration(te, tl, lags)
+
+
+def test_window_atom_weights_count_the_256_sign_patterns():
+    lags, te, _ = isi_taps(0.3, PULSE)
+    atoms, log_w, _ = _window_isi_atoms(te, lags)
+    assert atoms.shape == log_w.shape == (81,)
+    assert float(np.sum(np.exp(log_w))) == 256.0
+    assert sorted(np.rint(np.exp(log_w)).astype(int).tolist()) \
+        == [1] * 16 + [2] * 32 + [4] * 24 + [8] * 8 + [16]
+
+
+@pytest.mark.parametrize("dt, rolloff, trunc", ATOM_CASES)
+def test_window_atoms_are_the_enumerated_multiset(dt, rolloff, trunc):
+    _, (atoms, log_w, tail_var), (want, want_tail) = _atoms_both_ways(dt, rolloff, trunc)
+    got = np.sort(np.repeat(atoms, np.rint(np.exp(log_w)).astype(int)))
+    # a truncation of 1 has 2^4 patterns: each stands for 2^4 of the 256,
+    # whose signs on the taps past the truncation do not matter
+    want = np.sort(np.tile(want, 256 // want.size))
+    assert got.shape == want.shape == (256,)
+    # the same sums of the same taps, added in another order
+    np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.spacing(np.abs(want).max()))
+    assert tail_var == want_tail
+
+
+@pytest.mark.parametrize("dt, rolloff, trunc", ATOM_CASES)
+def test_window_atoms_give_the_enumerated_log_densities(dt, rolloff, trunc):
+    level, (atoms, log_w, tail_var), (enum, _) = _atoms_both_ways(dt, rolloff, trunc)
+    rng = np.random.default_rng(17)
+    for snr in (0.0, 10.0, 40.0):
+        sd = 0.5 * 10.0 ** (-snr / 20.0)
+        veff = sd * sd + tail_var
+        r = (rng.choice([-level, 0.0, level], 300) + rng.choice(enum, 300)
+             + sd * rng.standard_normal(300))
+
+        def log_densities(atoms, log_w):
+            # log p(r | xor bit 0) (levels +-level) and log p(r | bit 1) (level 0),
+            # each a mixture over the sign patterns, as mi_time_unsync forms them
+            e0 = np.concatenate([log_w - (r[:, None] - atoms - lv) ** 2 / (2 * veff)
+                                 for lv in (level, -level)], axis=1)
+            e1 = log_w - (r[:, None] - atoms) ** 2 / (2 * veff)
+            patterns = float(np.sum(np.exp(log_w)))
+            return (logsumexp(e0, axis=1) - math.log(2 * patterns),
+                    logsumexp(e1, axis=1) - math.log(patterns))
+
+        for got, want in zip(log_densities(atoms, log_w),
+                             log_densities(enum, np.zeros(enum.size))):
+            # relative, with a floor of 1e-13 for the values near 0 (bit 1 at dt = 0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_time_unsync_validates_range():
