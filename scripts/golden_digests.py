@@ -4,9 +4,10 @@
 A refactor that must not change any output runs this before and after
 and compares the two listings.  The cases cover every scenario for BER
 and MI, frame lengths 1000/100/37, batch counts 1-7, odd sample budgets
-(whose per-scenario rounding differs), the default seed, the time
-scenario at roll-offs 0.25 and 1.0 and, through a config file, at
-truncation 8, and the penalty and chain commands.  Prints one
+(whose per-scenario rounding differs), the default seed, the phase
+scenario at 0-6 dB (where 27-80% of the ML decisions need the full
+class scores), the time scenario at roll-offs 0.25 and 1.0 and, through a
+config file, at truncation 8, and the penalty and chain commands.  Prints one
 'case sha256' line per case.
 
     PYTHONPATH=src python scripts/golden_digests.py > digests.txt
@@ -42,6 +43,7 @@ MONTE_CARLO = [
     ("ber_phase_f100_w4", "ber", "phase_unsync", None, "8:14:0.5", 2001, 4, 100),
     ("ber_phase_f37_w7", "ber", "phase_unsync", None, "10:12:1", 10001, 7, 37),
     ("ber_phase_w3", "ber", "phase_unsync", None, "11:15:0.5", 5000, 3, 1000),
+    ("ber_phase_low_w2", "ber", "phase_unsync", None, "0:6:1", 20000, 2, 1000),
     ("ber_time02_w1", "ber", "time_unsync", "0.2", "7:9:0.25", 20000, 1, 1000),
     ("ber_time05_odd_f1000", "ber", "time_unsync", "0.5", "3:6:0.5", 2001, 1, 1000),
     ("ber_time05_f100_w4", "ber", "time_unsync", "0.5", "2:8:0.5", 2001, 4, 100),

@@ -6,6 +6,19 @@ class over the 16-point superposed constellation: the four generating
 pairs of each class form a Gaussian mixture, and the exact per-class
 likelihood (sum over the four points, not max-log) is maximized.
 
+The ML detector screens before it sums.  `logsumexp` of the four
+exponents of a class returns max + log1p(s/m) + log(m) with s/m <= 3,
+so its computed score lies in [lo, lo + log 4 + rounding], lo being the
+class's largest exponent.  The lower end is exact: log1p and log of
+arguments >= 0 and 1 are >= 0, and adding a non-negative number to lo
+never rounds below lo.  The upper end allows 1e-9 + 2^-50 (|lo| + 2),
+which covers the few ulp of log1p(s/m) + log(m) and the half ulp of the
+final add at any |lo|.  Where one class's lo exceeds every other class's
+upper end, its score is strictly the largest and it is the decision;
+only the other symbols (a few percent at the SNRs of the BER curves) get
+the full scores, with the same first-maximum tie rule.  The decisions
+are therefore those of the full-score argmax, bit for bit.
+
 `logsumexp` is the one log-domain mixture kernel of the package; the
 mutual-information estimators use it too.
 """
@@ -28,6 +41,10 @@ PAIRS_PER_CLASS = 4
 # (index 2*i + q, so the index of b1 ^ b3 is the xor of the indices).
 _S1 = np.tile(np.arange(PAIRS_PER_CLASS), (NUM_CLASSES, 1))
 _S3 = _S1 ^ np.arange(NUM_CLASSES)[:, None]
+
+_BITS = np.array([[c >> 1, c & 1] for c in range(NUM_CLASSES)], dtype=np.int8)
+# log 4 + 1e-9 + 2^-50 * 2: a class score's upper end above lo, bar 2^-50 |lo|
+_SCORE_SLACK = math.log(4.0) + 1e-9 + 2.0 ** -49
 
 
 def build_hypotheses(theta: float) -> np.ndarray:
@@ -85,33 +102,34 @@ def threshold_bits(samples, scale: float) -> np.ndarray:
     return (np.abs(np.asarray(samples, dtype=float)) <= scale).astype(np.int8)
 
 
-def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
-    """Per-class log-likelihood (up to a common constant) for complex samples.
-
-    score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
-    `logsumexp`, the kernel the mutual-information estimators share; equal
-    priors over the 16 pairs make the class prior a common constant.
-
-    The distances are laid out class-major, (4, 4, N), so each reduction
-    over the four points of a class runs across whole rows of N samples;
-    the four terms add in the same order as along a short last axis, so
-    the scores are the same bits.  Returns the (N, 4) transposed view.
-    """
-    r = np.atleast_1d(np.asarray(samples, dtype=complex))
-    d2 = np.abs(r[None, :] - points.reshape(-1, 1)) ** 2
-    d2 = d2.reshape(NUM_CLASSES, PAIRS_PER_CLASS, r.size)
-    if noise_var == 0:
-        # degenerate: likelihood concentrates on the nearest point
-        return -d2.min(axis=1).T
-    return logsumexp(-d2 / (2.0 * noise_var), axis=1).T
-
-
 def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """ML xor decision for an array of complex samples; returns (N, 2) bits.
 
-    Ties break toward the smallest class index (lexicographic in
-    (x_i, x_q)), which argmax provides by taking the first maximum.
+    Picks the first class (lexicographic in (x_i, x_q)) among the maxima
+    of the exact class scores logsumexp_j(a[c, j]), a = -|r - p_cj|^2 /
+    (2 sigma^2), and computes those scores only where the largest exponent
+    per class, lo_c, leaves the decision open.  See the module docstring
+    for why the screen is exact.  noise_var == 0 is the nearest-point rule.
     """
-    sc = ml_class_scores(samples, points, noise_var)
-    c = np.argmax(sc, axis=1)
-    return np.stack([c >> 1, c & 1], axis=1).astype(np.int8)
+    if not noise_var >= 0:
+        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    r = np.atleast_1d(np.asarray(samples, dtype=complex))
+    a = np.empty((NUM_CLASSES, PAIRS_PER_CLASS, r.size))
+    # class by class: one (16, N) complex difference would be 256 kB at frame
+    # length 1000, past malloc's mmap threshold, and fault in afresh per call
+    for c, pc in enumerate(points[:, :, None]):
+        np.abs(r - pc, out=a[c])
+    a *= a
+    a /= -2.0 * noise_var if noise_var else -1.0  # -d2 / (2 sigma^2), bit for bit
+    lo = a.max(axis=1)
+    if noise_var == 0:
+        return _BITS[lo.argmax(axis=0)]
+    # classes whose score can reach the best lo: their upper end, lo + log 4
+    # + 1e-9 + 2^-50 (|lo| + 2) with |lo| = -lo, is at least that lo
+    rival = lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK >= lo.max(axis=0)
+    # a decided column has one rival c: bits c >> 1 = c in (2, 3), c & 1 = c in (1, 3)
+    bits = np.stack([rival[2] | rival[3], rival[1] | rival[3]], axis=1).view(np.int8)
+    undecided = np.flatnonzero(rival.sum(axis=0) > 1)
+    if undecided.size:
+        bits[undecided] = _BITS[logsumexp(a[:, :, undecided], axis=1).argmax(axis=0)]
+    return bits

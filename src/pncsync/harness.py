@@ -29,6 +29,9 @@ from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, isi_t
                           qpsk_pair_frame, time_offset_frame)
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
+# |SNR| bound of ber and mi: noise variance 1e-30 to 1e30; at a few thousand
+# dB, 10^(-snr/10) under- or overflows and the estimators fail
+MAX_ABS_SNR_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,13 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        if self.command in ("ber", "mi") and self.samples_per_point < 1000:
-            raise ValueError("samples_per_point must be >= 1000 for statistical commands")
+        if self.command in ("ber", "mi"):
+            if self.samples_per_point < 1000:
+                raise ValueError("samples_per_point must be >= 1000 for statistical commands")
+            far = [s for s in grid if abs(s) > MAX_ABS_SNR_DB]
+            if far:
+                raise ValueError(f"snr_grid_db must lie within +-{MAX_ABS_SNR_DB:g} dB, "
+                                 f"got {far[0]!r}")
         if self.offset_range is not None:
             if self.scenario != "time_unsync":
                 raise ValueError(f"offset_range applies only to time_unsync, "

@@ -1,14 +1,15 @@
 """Test-only references: the scalar enumeration of the 16 superposed points,
-the brute-force minimum distance (criterion 09), the 2^8 sign patterns of
-the time-offset MI's window ISI, the 2-D grid integral of the phase-offset
-MI, and the horizontal SNR gaps read off BER and MI curves (criteria 07
-and 08)."""
+the full ML class scores, the brute-force minimum distance (criterion 09),
+the 2^8 sign patterns of the time-offset MI's window ISI, the 2-D grid
+integrals of the phase-offset MI and ML BER, and the horizontal SNR gaps
+read off BER and MI curves (criteria 07 and 08)."""
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
-from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses
+from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses, logsumexp
 from pncsync.impairments import superpose_phase_offset
 from pncsync.mapping import ALL_BIT_PAIRS, qpsk_modulate
 from pncsync.mutual_info import _ENUM_WINDOW
@@ -29,6 +30,33 @@ def hypotheses_by_enumeration(theta: float) -> np.ndarray:
                 qpsk_modulate(b1).as_complex(), qpsk_modulate(b3).as_complex(), theta)
             count[c] += 1
     return pts
+
+
+def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
+    """Per-class log-likelihood (up to a common constant) for complex samples.
+
+    score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
+    `detection.logsumexp`; equal priors over the 16 pairs make the class
+    prior a common constant.  The first-maximum argmax of these scores is
+    the decision `detection.ml_xor_bits` must return.
+
+    The distances are laid out class-major, (4, 4, N), so each reduction
+    over the four points of a class runs across whole rows of N samples;
+    the four terms add in the same order as along a short last axis, so
+    the scores are the same bits.  Returns the (N, 4) transposed view.
+    """
+    r = np.atleast_1d(np.asarray(samples, dtype=complex))
+    d2 = np.abs(r[None, :] - points.reshape(-1, 1)) ** 2
+    d2 = d2.reshape(NUM_CLASSES, PAIRS_PER_CLASS, r.size)
+    if noise_var == 0:
+        # degenerate: likelihood concentrates on the nearest point
+        return -d2.min(axis=1).T
+    return logsumexp(-d2 / (2.0 * noise_var), axis=1).T
+
+
+def ml_classes(samples, points, noise_var) -> np.ndarray:
+    """The full-score ML class of each sample: first maximum of `ml_class_scores`."""
+    return np.argmax(ml_class_scores(samples, points, noise_var), axis=1)
 
 
 def min_interclass_distance_sq(points) -> float:
@@ -84,6 +112,71 @@ def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
         w = lik[c] > 0
         total += 0.25 * float(np.sum(lik[c][w] * np.log2(lik[c][w] / mix[w]))) * du * du
     return 0.5 * total
+
+
+_WRONG_BITS = np.array([0, 1, 1, 2])  # popcount of the xor of two class indices
+
+
+def phase_ml_error_moments(snr_db, nodes=12, h=0.02):
+    """Wrong xor bits of the phase-offset ML detector, by deterministic integration.
+
+    The offset theta is uniform over [-pi/4, pi/4], and the error rate is
+    even in theta (conjugation maps the constellation at theta onto the one
+    at -theta and keeps every xor class), so theta runs over `nodes`
+    Gauss-Legendre nodes on [0, pi/4].  At each node, the centre of every
+    h-sided cell of a square grid covering the 16 points (from
+    `hypotheses_by_enumeration`) and 7 noise sd around them gets its
+    full-score ML class (`ml_classes`).  Negating r negates both symbols
+    and keeps the xor, so only the upper half of the grid is classified and
+    the lower half is its mirror image.  Each point p of class c_p puts
+    the exact Gaussian mass of N(p, sigma^2 I) on each cell, a product of
+    normal-CDF differences per axis, so the mean of a weight table over
+    the cells is one mx @ W @ my product per point.
+
+    Returns (w, m1, m2): the node weights (sum 1), and per node the mean
+    and mean square of the number k of wrong xor bits of one symbol.  The
+    BER is sum(w * m1) / 2.  Mass beyond the grid (under 1e-11) counts as
+    correct.
+    """
+    s2 = 10.0 ** (-snr_db / 10.0)
+    sd = math.sqrt(s2)
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    thetas = math.pi / 8 * (x + 1.0)
+    n = math.ceil((2 * math.sqrt(2) + 7.0 * sd) / h)
+    edges = h * np.arange(-n, n + 1)
+    centres = edges[:-1] + h / 2
+    top = centres[n:]  # y > 0; the grid is symmetric about 0
+    m1, m2 = np.zeros(nodes), np.zeros(nodes)
+    for i, theta in enumerate(thetas):
+        pts = hypotheses_by_enumeration(float(theta))
+        upper = np.concatenate([
+            ml_classes((centres[:, None] + 1j * top[None, j:j + 64]).ravel(),
+                       pts, s2).reshape(2 * n, -1)
+            for j in range(0, n, 64)], axis=1)  # 64 rows at a time bound the memory
+        cls = np.concatenate([upper[::-1, ::-1], upper], axis=1)  # [ix, iy]
+        for c in range(NUM_CLASSES):
+            wrong = _WRONG_BITS[cls ^ c]
+            for p in pts[c]:
+                mx = np.diff(ndtr((edges - p.real) / sd))
+                my = np.diff(ndtr((edges - p.imag) / sd))
+                m1[i] += mx @ wrong @ my
+                m2[i] += mx @ (wrong * wrong) @ my
+    return wt / 2.0, m1 / 16.0, m2 / 16.0
+
+
+def cluster_z_score(errors, frames, symbols_per_frame, w, m1, m2) -> float:
+    """z of an error total over frames that each draw their own offset.
+
+    Given the offset, a frame's count sums `symbols_per_frame` independent
+    symbols, each with k wrong bits of moments (m1, m2); the offset varies
+    between frames.  So the exact variance of the total is
+    F * (E[n Var(k | theta)] + Var(n E[k | theta])), with E over the
+    weights w (`phase_ml_error_moments`).
+    """
+    n = symbols_per_frame
+    mean = n * np.sum(w * m1)
+    var = np.sum(w * n * (m2 - m1 ** 2)) + np.sum(w * (n * m1) ** 2) - mean ** 2
+    return float((errors - frames * mean) / math.sqrt(frames * var))
 
 
 def snr_at_level(snrs, values, level, log_scale=False):

@@ -26,7 +26,8 @@ from pncsync.mapping import ALL_BIT_PAIRS, pnc_xor_of_levels, qpsk_modulate, sup
 from pncsync.chain import ChainConfig, effective_detection_errors, make_plan, partition_groups
 from scipy.special import erfc
 
-from oracles import horizontal_gap_db, max_horizontal_gap_db, min_interclass_distance_sq
+from oracles import (cluster_z_score, horizontal_gap_db, max_horizontal_gap_db,
+                     min_interclass_distance_sq, phase_ml_error_moments)
 
 SEED = 1234567
 
@@ -181,6 +182,28 @@ def test_criterion_07_ber_curve_reproduction(ber_curves):
         f"time[-T/2,T/2] gap at 1e-1: {gap05:.3f} dB (1.0 +- 0.5: {'ok' if ok05 else 'MISS'}); "
         f"phase gap at 3e-3: {gapph:.2f} dB (>= 3: {'ok' if okph else 'MISS'}) "
         f"({dt:.0f}s at 1e6 bits/point)")
+
+
+def test_criterion_07_phase_curve_matches_the_quadrature_oracle(ber_curves):
+    """The phase curve at 11 and 15 dB against `oracles.phase_ml_error_moments`.
+
+    1e6 bits are 500 frames of 1000 symbols, each frame with its own offset,
+    so the errors cluster; z uses their exact variance (`cluster_z_score`).
+    Bound, fixed before the first run: |z| <= 4 at each point.
+    """
+    snrs, bers = ber_curves["phase"]
+    frames, symbols = 500, 1000
+    ok, details = True, []
+    for snr in (11.0, 15.0):
+        ber = float(bers[snrs == snr][0])
+        w, m1, m2 = phase_ml_error_moments(snr)
+        z = cluster_z_score(round(ber * 2 * frames * symbols), frames, symbols, w, m1, m2)
+        ok &= abs(z) <= 4.0
+        details.append(f"{snr:g} dB: mc={ber:.4e} vs oracle={np.sum(w * m1) / 2:.4e}, "
+                       f"z={z:+.2f}")
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion 07 phase oracle: " + "; ".join(details)
+          + " (|z| <= 4)")
+    assert ok
 
 
 def test_criterion_08_mi_curve_reproduction(mi_curves):

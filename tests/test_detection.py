@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp  # oracle of the numpy kernel
 
-from pncsync.detection import (build_hypotheses, logsumexp, ml_class_scores, ml_xor_bits,
-                               threshold_bits)
+from pncsync.detection import build_hypotheses, logsumexp, ml_xor_bits, threshold_bits
 from pncsync.mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
 from pncsync import analysis
-from oracles import hypotheses_by_enumeration, min_interclass_distance_sq
+from oracles import (hypotheses_by_enumeration, min_interclass_distance_sq, ml_class_scores,
+                     ml_classes)
 
 
 def ml_pair(sample, hyp, noise_var) -> BitPair:
@@ -96,6 +96,73 @@ def test_ml_zero_variance_falls_back_to_nearest_point():
     for c in range(4):
         for p in hyp[c]:
             assert ml_pair(p, hyp, 0.0) == BitPair(c >> 1, c & 1)
+
+
+def test_ml_rejects_a_negative_or_nan_variance():
+    hyp = build_hypotheses(0.0)
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(ValueError):
+            ml_xor_bits(1.0 + 0j, hyp, bad)
+
+
+def boundary_samples(points, noise_var, rng):
+    """Samples where the ML decision is close: on and around the midpoint of
+    every pair of points of different classes.
+
+    Each midpoint is taken as is, moved along the pair's axis by a few ulp,
+    and moved along it so far that the two points' exponents differ by up
+    to 4 (the screen's log-4 window lies inside), plus noise-sized scatter
+    around the 16 points.
+    """
+    flat = points.reshape(-1)
+    cls = np.repeat(np.arange(4), 4)
+    i, j = np.nonzero(cls[:, None] < cls[None, :])
+    mid, axis = (flat[i] + flat[j]) / 2, flat[j] - flat[i]
+    ulps = np.array([-4, -1, 1, 4])[:, None] * 2.0 ** -53 * axis
+    margin = rng.uniform(-4.0, 4.0, (8, axis.size)) * (noise_var / abs(axis) ** 2) * axis
+    sd = math.sqrt(noise_var) if noise_var else 0.3
+    near = flat[rng.integers(0, 16, 200)] + sd * (rng.standard_normal(200)
+                                                 + 1j * rng.standard_normal(200))
+    return np.concatenate([mid, (mid + ulps).ravel(), (mid + margin).ravel(), near])
+
+
+def assert_bits_are_the_full_score_argmax(r, points, noise_var):
+    c = ml_classes(r, points, noise_var)
+    want = np.stack([c >> 1, c & 1], axis=1)
+    got = ml_xor_bits(r, points, noise_var)
+    assert got.dtype == np.int8 and got.shape == (r.size, 2)
+    differ = np.flatnonzero((got != want).any(axis=1))
+    assert differ.size == 0, (f"{differ.size} of {r.size} decisions differ, first at "
+                              f"r={r[differ[0]]!r}: {got[differ[0]]} vs {want[differ[0]]}")
+
+
+@given(st.one_of(st.sampled_from([0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0)]),
+                 st.floats(-math.pi / 4, math.pi / 4, exclude_max=True)),
+       st.one_of(st.just(0.0), st.floats(-300.0, 1.0).map(lambda x: 10.0 ** x)),
+       st.integers(0, 2**32 - 1))
+@example(0.0, 0.25, 3)
+@example(0.0, 1.0, 3)
+@example(-math.pi / 4, 0.05, 3)
+@example(math.nextafter(math.pi / 4, 0.0), 10.0, 3)
+@example(0.0, 1e-300, 3)
+@example(0.3, 0.0, 3)
+def test_ml_bits_are_the_full_score_argmax(theta, noise_var, seed):
+    pts = build_hypotheses(theta)
+    r = boundary_samples(pts, noise_var, np.random.default_rng(seed))
+    assert_bits_are_the_full_score_argmax(r, pts, noise_var)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("scale", [1e7, 1e8, 3e8])
+def test_ml_bits_are_the_full_score_argmax_at_huge_scores(theta, scale):
+    # far from the constellation every exponent is about -|r|^2 / (2 sigma^2),
+    # 1e13 to 1e16 here, where one ulp of a score exceeds the screen's 1e-9
+    rng = np.random.default_rng(5)
+    pts = build_hypotheses(theta)
+    r = scale * np.exp(2j * math.pi * rng.uniform(size=4000))
+    r[:400] = scale * 1j  # on the imaginary axis, where points share distances
+    r[400:800] = scale
+    assert_bits_are_the_full_score_argmax(r, pts, 4.0)
 
 
 def test_noiseless_correctness_over_theta_grid():

@@ -537,6 +537,16 @@ def test_cli_rejects_non_finite_snr(grid, capsys):
     assert msg.startswith("pnc ber: error: ") and "finite" in msg
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+@pytest.mark.parametrize("command", ["ber", "mi"])
+def test_cli_rejects_snr_whose_noise_variance_under_or_overflows(command, snr, capsys):
+    # 10^(-snr/10) is 0 at 4000 dB and overflows at -4000 dB
+    msg = cli_usage_error([command, "--scenario", "perfect", f"--snr-grid={snr}",
+                           "--samples", "1000"], capsys)
+    assert msg == f"pnc {command}: error: snr_grid_db must lie within +-300 dB, got {snr}.0"
+    ExperimentConfig(command=command, snr_grid_db=(-300.0, 300.0))
+
+
 @pytest.mark.parametrize("argv", ["chain --nodes 5 --errors=-0.1,0.02,-0.001",
                                   "ber --snr-grid 5:1"])
 def test_cli_config_error_shows_the_subcommand_usage(argv, capsys):
