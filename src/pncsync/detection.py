@@ -43,20 +43,23 @@ _S1 = np.tile(np.arange(PAIRS_PER_CLASS), (NUM_CLASSES, 1))
 _S3 = _S1 ^ np.arange(NUM_CLASSES)[:, None]
 
 _BITS = np.array([[c >> 1, c & 1] for c in range(NUM_CLASSES)], dtype=np.int8)
+_CHUNK = 4096  # symbols per block of ml_xor_bits
 # log 4 + 1e-9 + 2^-50 * 2: a class score's upper end above lo, bar 2^-50 |lo|
 _SCORE_SLACK = math.log(4.0) + 1e-9 + 2.0 ** -49
 
 
-def build_hypotheses(theta: float) -> np.ndarray:
+def build_hypotheses(theta) -> np.ndarray:
     """The 16 superposed points s1 + s3*e^{j*theta}, grouped by xor class.
 
     Row c of the read-only (4, 4) array holds the four points whose
     generating pair satisfies (i1^i3, q1^q3) == (c >> 1, c & 1), in
     s1-major enumeration order.  theta must already be folded into
-    [-pi/4, pi/4).
+    [-pi/4, pi/4).  A tuple of F offsets gives an (F, 4, 4) array, one
+    constellation per offset, each with the bits of its one-offset call.
     """
-    if not -math.pi / 4 <= theta < math.pi / 4:
-        raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {theta}")
+    for t in theta if isinstance(theta, tuple) else (theta,):
+        if not -math.pi / 4 <= t < math.pi / 4:
+            raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {t}")
     sym = np.array([qpsk_modulate(b).as_complex() for b in ALL_BIT_PAIRS])
     pts = superpose_phase_offset(sym[_S1], sym[_S3], theta)
     pts.setflags(write=False)
@@ -90,14 +93,15 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out.squeeze(axis)
 
 
-def threshold_bits(samples, scale: float) -> np.ndarray:
+def threshold_bits(samples, scale) -> np.ndarray:
     """Midpoint threshold per dimension: bit 0 if |sample| > scale, else 1.
 
     scale is half the level spacing: the noiseless levels are 0 and
     +-2*scale (scale = 1 for perfect sync, p(dt/2)/2 for mid-offset
-    sampling).
+    sampling).  An array of scales broadcasts against the samples, for
+    example one scale per frame.
     """
-    if scale <= 0:
+    if np.any(np.asarray(scale) <= 0):
         raise ValueError("scale must be positive")
     return (np.abs(np.asarray(samples, dtype=float)) <= scale).astype(np.int8)
 
@@ -105,20 +109,35 @@ def threshold_bits(samples, scale: float) -> np.ndarray:
 def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """ML xor decision for an array of complex samples; returns (N, 2) bits.
 
-    Picks the first class (lexicographic in (x_i, x_q)) among the maxima
-    of the exact class scores logsumexp_j(a[c, j]), a = -|r - p_cj|^2 /
-    (2 sigma^2), and computes those scores only where the largest exponent
-    per class, lo_c, leaves the decision open.  See the module docstring
-    for why the screen is exact.  noise_var == 0 is the nearest-point rule.
+    points is one (4, 4) constellation of `build_hypotheses`, or an
+    (F, 4, 4) stack of them for F equal frames of the N samples (frame f
+    holds samples f*N/F to (f+1)*N/F - 1).  Picks the first class
+    (lexicographic in (x_i, x_q)) among the maxima of the exact class
+    scores logsumexp_j(a[c, j]), a = -|r - p_cj|^2 / (2 sigma^2), and
+    computes those scores only where the largest exponent per class,
+    lo_c, leaves the decision open.  See the module docstring for why
+    the screen is exact.  noise_var == 0 is the nearest-point rule.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
+    pts = np.reshape(points, (-1, NUM_CLASSES, PAIRS_PER_CLASS))
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
-    a = np.empty((NUM_CLASSES, PAIRS_PER_CLASS, r.size))
-    # class by class: one (16, N) complex difference would be 256 kB at frame
-    # length 1000, past malloc's mmap threshold, and fault in afresh per call
-    for c, pc in enumerate(points[:, :, None]):
-        np.abs(r - pc, out=a[c])
+    if r.size % len(pts):
+        raise ValueError(f"{r.size} samples do not split into {len(pts)} equal frames")
+    r = r.reshape(len(pts), -1)
+    # whole frames of at most _CHUNK symbols at a time (one frame if longer):
+    # the exponents take 128 bytes per symbol, so memory stays bounded
+    step = max(1, _CHUNK // max(1, r.shape[1]))
+    return np.concatenate([_ml_frames(r[f:f + step], pts[f:f + step], noise_var)
+                           for f in range(0, len(pts), step)])
+
+
+def _ml_frames(r, points, noise_var):
+    """`ml_xor_bits` of the (F, n) samples r of frames with (F, 4, 4) points."""
+    a = np.empty((NUM_CLASSES, PAIRS_PER_CLASS) + r.shape)
+    for c in range(NUM_CLASSES):
+        np.abs(r - points[:, c, :, None].swapaxes(0, 1), out=a[c])
+    a = a.reshape(NUM_CLASSES, PAIRS_PER_CLASS, -1)
     a *= a
     a /= -2.0 * noise_var if noise_var else -1.0  # -d2 / (2 sigma^2), bit for bit
     lo = a.max(axis=1)

@@ -10,10 +10,28 @@ Scenarios follow the three synchronization levels compared throughout:
                  scaled level spacing
 
 Each scenario is one row of a table: its RNG stream index and its BER and
-MI batch functions.  One sweep drives both runners: it derives an
-independent RNG stream per (point, batch) from the master seed and reduces
-the batches in fixed order, so identical configurations produce
+MI batch functions.  One sweep drives both runners: batch b of SNR point i
+draws from SeedSequence(seed, spawn_key=(scenario index, i, b)), and the
+batches reduce in fixed order, so identical configurations produce
 byte-identical output files.
+
+Draw contract of a BER batch.  A batch works in blocks of at most _BLOCK
+(2^16) symbols, whole frames where it has frames (at least one frame per
+block), so its memory does not grow with the budget.  Per block, in order:
+
+  perfect        uint8 indices (m,) into the 16 class-major points of
+                 `build_hypotheses` (index 4c + j: xor class c, pair j),
+                 then noise (2, m) for I and Q
+  phase_unsync   offsets uniform(-pi/4, pi/4) (F,), each through
+                 `fold_phase`; uint8 indices (F, n) into each frame's
+                 points, `build_hypotheses` of the F offsets; noise (2, F, n)
+  time_unsync    offsets uniform(-x, x) (F,), no draw at x = 0; +-1 trains
+                 (F, 2, 2, n + 2L) drawn as int32 (frame, I/Q, train,
+                 symbol); noise (F, 2, n)
+
+(`impairments.superposed_frames` and `impairments.time_offset_frames`.)
+The time MI draws through the same synthesizer one frame of one dimension
+at a time, which is its per-frame draw order: offset, two trains, noise.
 """
 
 from __future__ import annotations
@@ -25,8 +43,7 @@ import numpy as np
 
 from . import analysis, chain, mutual_info
 from .detection import build_hypotheses, ml_xor_bits, threshold_bits
-from .impairments import (PulseShape, draw_phase_offset, draw_time_offset, isi_taps,
-                          qpsk_pair_frame, time_offset_frame)
+from .impairments import PulseShape, fold_phase, superposed_frames, time_offset_frames
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
 # |SNR| bound of ber and mi: noise variance 1e-30 to 1e30; at a few thousand
@@ -184,44 +201,57 @@ def config_from_file(path, **overrides) -> ExperimentConfig:
 # Monte-Carlo batches: (cfg, snr_db, budget, rng) -> (sum, count).  Each
 # rounds its budget to whole symbols or frames its own way (2001 bits give
 # 2000 perfect/phase bits, 4000 time bits at frame 1000), and its draw order
-# is part of the RNG stream contract.
+# is part of the RNG stream contract (module docstring).
+
+_BLOCK = 1 << 16  # symbols per block of a BER batch
+
+
+def _blocks(units: int, unit_symbols: int):
+    """Sizes of the blocks of at most _BLOCK symbols (at least one unit) of a batch."""
+    per = max(1, _BLOCK // unit_symbols)
+    for start in range(0, units, per):
+        yield min(per, units - start)
 
 
 def _ber_perfect(cfg, snr_db, num_bits, rng):
     nsym = max(1, num_bits // 2)
-    r, xi, xq = qpsk_pair_frame(nsym, 0.0, 10.0 ** (-snr_db / 20.0), rng)
-    err = int(np.sum(threshold_bits(r.real, 1.0) != xi))
-    err += int(np.sum(threshold_bits(r.imag, 1.0) != xq))
+    points = build_hypotheses((0.0,))  # levels 0 and +-2 per dimension
+    err = 0
+    for m in _blocks(nsym, 1):
+        r, truth = superposed_frames(points, m, 10.0 ** (-snr_db / 20.0), rng)
+        # the float view puts each sample's I and Q side by side, like its xor bits
+        bits = threshold_bits(r.view(float), 1.0)
+        err += int(np.count_nonzero(bits != truth.reshape(1, -1)))
     return err, 2 * nsym
 
 
 def _ber_phase(cfg, snr_db, num_bits, rng):
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    frame_len = cfg.frame_length
-    nframes = max(1, math.ceil(max(1, num_bits // 2) / frame_len))
+    n = cfg.frame_length
+    nframes = max(1, math.ceil(max(1, num_bits // 2) / n))
     err = 0
-    for _ in range(nframes):
-        theta = draw_phase_offset(rng)
-        r, xi, xq = qpsk_pair_frame(frame_len, theta, math.sqrt(sigma2), rng)
-        bits = ml_xor_bits(r, build_hypotheses(theta), sigma2)
-        err += int(np.sum(bits[:, 0] != xi)) + int(np.sum(bits[:, 1] != xq))
-    return err, 2 * nframes * frame_len
+    for f in _blocks(nframes, n):
+        drawn = rng.uniform(-math.pi / 4, math.pi / 4, f).tolist()
+        points = build_hypotheses(tuple(fold_phase(t)[0] for t in drawn))
+        r, truth = superposed_frames(points, n, math.sqrt(sigma2), rng)
+        bits = ml_xor_bits(r.reshape(-1), points, sigma2)
+        err += int(np.count_nonzero(bits != truth.reshape(-1, 2)))
+    return err, 2 * nframes * n
 
 
 def _ber_time(cfg, snr_db, num_bits, rng):
     sd_half = 10.0 ** (-snr_db / 20.0) / 2.0  # half-amplitude sampling convention
     pulse = cfg.pulse()
-    frame_len = cfg.frame_length
-    nframes = max(1, math.ceil(num_bits / (2 * frame_len)))
+    n = cfg.frame_length
+    nframes = max(1, math.ceil(num_bits / (2 * n)))
     err = 0
-    for _ in range(nframes):
-        dt = draw_time_offset(cfg.effective_offset_range(), rng)
-        _, te, tl = isi_taps(dt, pulse)
-        scale = 0.5 * te[pulse.truncation_symbols]  # half of p(dt/2)
-        for _dim in range(2):  # independent I and Q streams, same offset
-            r, truth = time_offset_frame(frame_len, te, tl, sd_half, rng)
-            err += int(np.sum(threshold_bits(r, scale) != truth))
-    return err, 2 * nframes * frame_len
+    for f in _blocks(nframes, n):
+        # independent I and Q streams, same offset per frame
+        taps, r, truth = time_offset_frames(f, 2, n, cfg.effective_offset_range(), pulse,
+                                            sd_half, rng)
+        scale = 0.5 * taps[:, pulse.truncation_symbols, None, None]  # half of p(dt/2)
+        err += int(np.count_nonzero(threshold_bits(r, scale) != truth))
+    return err, 2 * nframes * n
 
 
 def _mi_perfect(cfg, snr_db, num_samples, rng):
@@ -256,10 +286,10 @@ def scenario_label(cfg: ExperimentConfig) -> str:
     return cfg.scenario
 
 
-def _sweep(cfg: ExperimentConfig, key: tuple, batch):
+def _sweep(cfg: ExperimentConfig, stream: int, batch):
     """(snr, sum, count) per SNR point, over cfg.workers batches of the budget.
 
-    Batch b of point i draws from SeedSequence(seed, spawn_key=key + (i, b))
+    Batch b of point i draws from SeedSequence(seed, spawn_key=(stream, i, b))
     and the batches reduce in fixed order, so a result depends only on the
     config, the seed and the batch count.
     """
@@ -268,7 +298,7 @@ def _sweep(cfg: ExperimentConfig, key: tuple, batch):
         total = count = 0
         for b in range(cfg.workers):
             rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.master_seed, spawn_key=key + (i, b)))
+                np.random.SeedSequence(cfg.master_seed, spawn_key=(stream, i, b)))
             s, n = batch(cfg, snr, share, rng)
             total += s
             count += n
@@ -285,7 +315,7 @@ def run_ber(cfg: ExperimentConfig) -> list[BerResult]:
     label = scenario_label(cfg)
     results = [BerResult(snr_db=snr, scenario=label, ber=err / tot, num_bits=tot,
                          num_errors=err, seed=cfg.master_seed)
-               for snr, err, tot in _sweep(cfg, (0, stream), batch)]
+               for snr, err, tot in _sweep(cfg, stream, batch)]
     if cfg.output_path:
         write_ber_csv(cfg.output_path, cfg, results)
     return results
@@ -295,11 +325,10 @@ def run_mi(cfg: ExperimentConfig) -> list[MiEstimate]:
     """Mutual-information curve for the configured scenario."""
     stream, _, batch = _SCENARIOS[cfg.scenario]
     label = scenario_label(cfg)
-    # the MI streams carry no command index, unlike the BER streams
     est = [MiEstimate(snr_db=snr, scenario=label,
                       mi_bits_per_dim=float(np.clip(acc / used, 0.0, 1.0)),
                       num_samples=used, seed=cfg.master_seed)
-           for snr, acc, used in _sweep(cfg, (stream,), batch)]
+           for snr, acc, used in _sweep(cfg, stream, batch)]
     if cfg.output_path:
         write_mi_csv(cfg.output_path, cfg, est)
     return est

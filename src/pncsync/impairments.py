@@ -10,12 +10,15 @@ simulated separately, never jointly):
     symbol centers.
 
 Time is in symbol periods throughout, and `_mid_offset_taps` is the one
-source of the mid-offset taps: `isi_taps` for one offset per frame, the
-closed-form analysis for whole offset grids.
+source of the mid-offset taps: `isi_taps` for the offsets of a block of
+frames, the closed-form analysis for whole offset grids.
 
-The per-frame channel synthesis of the Monte-Carlo runners lives here too:
-the offset draws and the noisy received frames, each drawn from an
-explicit RNG stream in a fixed order so runs are reproducible.
+The channel synthesis of the Monte-Carlo runners lives here too: noisy
+received samples for a block of frames per call, the superposed QPSK
+pairs of given per-frame constellations (`superposed_frames`) and the
+mid-offset samples of random time offsets (`time_offset_frames`).  Each
+draws its arrays from an explicit RNG stream in a fixed order (the draw
+contract in `harness`), so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -58,8 +61,16 @@ def fold_phase(theta: float) -> tuple[float, int]:
     return folded, round((theta - folded) / QUARTER) % 4
 
 
-def superpose_phase_offset(s1: complex, s3: complex, theta: float) -> complex:
-    """Noiseless superposition s1 + s3*e^{j*theta} at the relay."""
+def superpose_phase_offset(s1, s3, theta):
+    """Noiseless superposition s1 + s3*e^{j*theta} at the relay.
+
+    theta is one offset, or a tuple of offsets for a leading axis of
+    results, one per offset; e^{j*theta} comes from cmath either way, so
+    each entry has the bits of the one-offset call.
+    """
+    if isinstance(theta, tuple):
+        rot = np.array([cmath.exp(1j * t) for t in theta])
+        return s1 + s3 * rot.reshape((-1,) + (1,) * np.ndim(s3))
     return s1 + s3 * cmath.exp(1j * theta)
 
 
@@ -119,18 +130,24 @@ def _mid_offset_taps(dt_frac, pulse: PulseShape):
     return lags, taps_early, taps_early[..., ::-1]
 
 
-def isi_taps(dt_frac: float, pulse: PulseShape):
+def isi_taps(dt_frac, pulse: PulseShape):
     """Pulse taps seen by the mid-offset sampler, one vector per train.
 
-    dt_frac is one time offset in symbol periods (a scalar; offset grids go
-    through `_mid_offset_taps`).  Returns (lags, taps_early, taps_late)
-    where lags = -L..L and the sample of symbol k picks up
+    dt_frac is one time offset in symbol periods, or a tuple of offsets
+    for one row of taps per offset, each the bits of its one-offset call.
+    An array is refused (as float() refuses it): the benchmark's tracer
+    keys these calls by their hashable arguments, and the analysis takes
+    its offset grids through `_mid_offset_taps`.
+    Returns (lags, taps_early, taps_late) where lags = -L..L and the
+    sample of symbol k picks up
     a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].  The early
     train is shifted +dt/2 from the sampling comb, the late train -dt/2,
     so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry the
     desired symbols and, the pulse being even, taps_late is taps_early
     reversed (a read-only view of it).
     """
+    if isinstance(dt_frac, tuple):
+        return _mid_offset_taps(np.array(dt_frac, dtype=float), pulse)
     return _mid_offset_taps(float(dt_frac), pulse)
 
 
@@ -151,40 +168,56 @@ def mid_offset_frame(a1, a3, taps_early, taps_late) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-frame channel synthesis (draw order is part of the RNG stream contract)
+# channel synthesis of the Monte-Carlo runners, a block of frames per call
+# (draw order is part of the RNG stream contract)
+
+# xor bits (c >> 1, c & 1) of the pair at index 4c + j of the class-major points
+_CLASS_BITS = np.array([[i >> 3, (i >> 2) & 1] for i in range(16)], dtype=np.int8)
 
 
-def draw_phase_offset(rng: np.random.Generator) -> float:
-    """One frame's phase offset: uniform over [-pi/4, pi/4], folded."""
-    return fold_phase(float(rng.uniform(-math.pi / 4, math.pi / 4)))[0]
+def superposed_frames(points: np.ndarray, n: int, sd: float, rng: np.random.Generator):
+    """n noisy relay samples per frame of r = s1 + s3 e^{j theta} + noise.
 
-
-def draw_time_offset(half_range: float, rng: np.random.Generator) -> float:
-    """One frame's time offset dt, in symbols: uniform over [-x, x]; x = 0 draws nothing."""
-    return float(rng.uniform(-half_range, half_range)) if half_range > 0 else 0.0
-
-
-def qpsk_pair_frame(n: int, theta: float, sd: float, rng: np.random.Generator):
-    """n noisy samples r = s1 + s3 e^{j theta} + noise: (r, xor_i, xor_q).
-
-    Draws the bits i1, q1, i3, q3, then the I and Q noise, each N(0, sd^2).
+    points is the (F, 4, 4) array of `build_hypotheses`, one constellation
+    per frame.  Draws the (F, n) uint8 indices of the sent pairs into each
+    frame's class-major points (index 4c + j: xor class c, pair j), then
+    the I and Q noise (2, F, n), each N(0, sd^2).  Returns (r, xor bits):
+    complex (F, n) and int8 (F, n, 2).
     """
-    i1, q1, i3, q3 = (rng.integers(0, 2, n) for _ in range(4))
-    r = ((2 * i1 - 1) + 1j * (2 * q1 - 1)) \
-        + ((2 * i3 - 1) + 1j * (2 * q3 - 1)) * np.exp(1j * theta)
-    r = r + sd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return r, i1 ^ i3, q1 ^ q3
+    frames = len(points)
+    idx = rng.integers(0, 16, (frames, n), dtype=np.uint8)
+    noise = rng.standard_normal((2, frames, n))
+    noise *= sd
+    r = np.take_along_axis(points.reshape(frames, 16), idx, axis=1)
+    r.real += noise[0]
+    r.imag += noise[1]
+    return r, np.take(_CLASS_BITS, idx, axis=0)
 
 
-def time_offset_frame(n: int, taps_early, taps_late, sd: float, rng: np.random.Generator):
-    """n noisy mid-offset samples of one real dimension: (r, true xor bits).
+def time_offset_frames(frames: int, dims: int, n: int, half_range: float, pulse: PulseShape,
+                       sd: float, rng: np.random.Generator):
+    """n noisy mid-offset samples per real dimension of `frames` frames.
 
-    Given the frame's `isi_taps` taps, draws two +-1 trains of n + 2L
-    symbols (L = truncation window), then N(0, sd^2) noise on the middle n.
+    Draws the frame offsets dt uniform over [-x, x] symbols, shape
+    (frames,) (x = 0 draws nothing), then the +-1 trains of every
+    dimension of every frame, (frames, dims, 2, n + 2L) as int32, then
+    N(0, sd^2) noise (frames, dims, n).  L is the truncation window; the
+    dims of a frame share its offset and its `isi_taps` taps.  Returns
+    (taps_early, r, xor bits): the (frames, 2L+1) taps, and (frames,
+    dims, n) samples and bool bits.
     """
-    L = len(taps_early) // 2
-    a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-    a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-    r = mid_offset_frame(a1, a3, taps_early, taps_late)[L:L + n]
-    r = r + sd * rng.standard_normal(n)
-    return r, (a1[L:L + n] != a3[L:L + n]).astype(np.int8)
+    L = pulse.truncation_symbols
+    dt = rng.uniform(-half_range, half_range, frames) if half_range > 0 else np.zeros(frames)
+    _, taps_early, taps_late = isi_taps(tuple(dt.tolist()), pulse)
+    a = rng.integers(0, 2, (frames, dims, 2, n + 2 * L), dtype=np.int32)
+    a <<= 1
+    a -= 1
+    noise = rng.standard_normal((frames, dims, n))
+    r = np.empty((frames, dims, n))
+    for f in range(frames):
+        for d in range(dims):
+            r[f, d] = mid_offset_frame(a[f, d, 0], a[f, d, 1],
+                                       taps_early[f], taps_late[f])[L:L + n]
+    noise *= sd
+    r += noise
+    return taps_early, r, a[:, :, 0, L:L + n] != a[:, :, 1, L:L + n]

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .detection import build_hypotheses, logsumexp
-from .impairments import PulseShape, draw_time_offset, isi_taps, time_offset_frame
+from .impairments import PulseShape, time_offset_frames
 
 PHASE_GRID_POINTS = 20
 # Midpoint grid (k+1/2)/n * pi/4 of the phase_unsync average.  The constellation
@@ -106,11 +106,11 @@ def mi_time_unsync(snr_db: float, dt_half_range: float, num_samples: int,
         raise ValueError(f"dt_half_range must be in [0, 0.5], got {dt_half_range}")
     sd_half = 0.5 * 10.0 ** (-snr_db / 20.0)  # half-amplitude convention
     nframes = max(1, math.ceil(num_samples / frame_len))
+    lags = np.arange(-pulse.truncation_symbols, pulse.truncation_symbols + 1)
     total = 0.0
     for _ in range(nframes):
-        dt = draw_time_offset(dt_half_range, rng)
-        lags, te, tl = isi_taps(dt, pulse)
-        r, xbit = time_offset_frame(frame_len, te, tl, sd_half, rng)
+        taps, r, xbit = time_offset_frames(1, 1, frame_len, dt_half_range, pulse, sd_half, rng)
+        te, r, xbit = taps[0], r[0, 0], xbit[0, 0]
 
         level = te[pulse.truncation_symbols]  # p(dt/2); per-dim levels 0 and +-2*(level/2)
         atoms, log_w, tail_var = _window_isi_atoms(te, lags)

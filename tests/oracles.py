@@ -1,8 +1,9 @@
 """Test-only references: the scalar enumeration of the 16 superposed points,
 the full ML class scores, the brute-force minimum distance (criterion 09),
 the 2^8 sign patterns of the time-offset MI's window ISI, the 2-D grid
-integrals of the phase-offset MI and ML BER, and the horizontal SNR gaps
-read off BER and MI curves (criteria 07 and 08)."""
+integrals of the phase-offset MI and ML BER, the characteristic-function
+inversion of the time-offset BER, and the horizontal SNR gaps read off BER
+and MI curves (criteria 07 and 08)."""
 
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses, logsumexp
-from pncsync.impairments import superpose_phase_offset
+from pncsync.impairments import isi_taps, superpose_phase_offset
 from pncsync.mapping import ALL_BIT_PAIRS, qpsk_modulate
 from pncsync.mutual_info import _ENUM_WINDOW
 
@@ -177,6 +178,52 @@ def cluster_z_score(errors, frames, symbols_per_frame, w, m1, m2) -> float:
     mean = n * np.sum(w * m1)
     var = np.sum(w * n * (m2 - m1 ** 2)) + np.sum(w * (n * m1) ** 2) - mean ** 2
     return float((errors - frames * mean) / math.sqrt(frames * var))
+
+
+def time_ber(snr_db, half_range, pulse, nodes=16):
+    """Xor BER of the time-offset threshold detector, by characteristic-function inversion.
+
+    Given the offset dt, a mid-offset sample is (a1 + a3)/2 * p + Z, with
+    p = p(dt/2) and Z the ISI of the 2 x 2L non-centre taps of
+    `isi_taps` (each adding +-h/2 with equal odds) plus N(0, s^2) noise,
+    s = 10^(-snr/20) / 2.  Z has the characteristic function
+    phi(w) = exp(-s^2 w^2 / 2) prod_j cos(h_j w / 2), which is real and
+    even, and the detector decides xor 1 where |r| <= p/2, so
+    BER(dt) = 1.5 P(Z > p/2) - 0.5 P(Z > 3p/2).  P(Z > a) comes from the
+    Gil-Pelaez inversion (Biometrika 1951), by the trapezoid rule of
+    Davies (1973) at the nodes w_k = (k + 1/2) 2 pi / T:
+    P(Z > a) = 1/2 - sum_k phi(w_k) sin(w_k a) / (pi (k + 1/2)), exact up
+    to the mass of Z beyond T/2 - a (T = 64, far past |Z| here) and the
+    tail of phi dropped past exp(-s^2 w^2 / 2) < 1e-20.  The BER is even
+    in dt, so dt runs over `nodes` Gauss-Legendre nodes on [0, x]; x = 0
+    is the single node dt = 0.
+
+    Returns (w, p): node weights (sum 1) and the BER at each node.
+    """
+    s = 10.0 ** (-snr_db / 20.0) / 2.0
+    if half_range > 0:
+        x, wt = np.polynomial.legendre.leggauss(nodes)
+        dts, w = half_range / 2 * (x + 1.0), wt / 2.0
+    else:
+        dts, w = np.zeros(1), np.ones(1)
+    period = 64.0
+    step = 2 * math.pi / period
+    w_max = math.sqrt(2 * 46.0) / s  # where exp(-s^2 w^2 / 2) = e^-46, about 1e-20
+    omega = (np.arange(math.ceil(w_max / step)) + 0.5) * step
+    L = pulse.truncation_symbols
+    p = np.empty(dts.size)
+    for i, dt in enumerate(dts):
+        _, te, tl = isi_taps(float(dt), pulse)
+        isi = np.concatenate([np.delete(te, L), np.delete(tl, L)])
+        phi = np.exp(-0.5 * (s * omega) ** 2) * np.prod(np.cos(0.5 * np.outer(omega, isi)),
+                                                        axis=1)
+        level = te[L]
+
+        def tail(a):
+            return 0.5 - float(np.sum(phi * np.sin(omega * a) / (omega * period / 2)))
+
+        p[i] = 1.5 * tail(level / 2) - 0.5 * tail(1.5 * level)
+    return w, p
 
 
 def snr_at_level(snrs, values, level, log_scale=False):

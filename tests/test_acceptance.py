@@ -22,12 +22,13 @@ from pncsync.harness import (
     run_mi,
     run_penalty,
 )
+from pncsync.impairments import PulseShape
 from pncsync.mapping import ALL_BIT_PAIRS, pnc_xor_of_levels, qpsk_modulate, superpose_symbols
 from pncsync.chain import ChainConfig, effective_detection_errors, make_plan, partition_groups
 from scipy.special import erfc
 
 from oracles import (cluster_z_score, horizontal_gap_db, max_horizontal_gap_db,
-                     min_interclass_distance_sq, phase_ml_error_moments)
+                     min_interclass_distance_sq, phase_ml_error_moments, time_ber)
 
 SEED = 1234567
 
@@ -202,6 +203,32 @@ def test_criterion_07_phase_curve_matches_the_quadrature_oracle(ber_curves):
         details.append(f"{snr:g} dB: mc={ber:.4e} vs oracle={np.sum(w * m1) / 2:.4e}, "
                        f"z={z:+.2f}")
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 07 phase oracle: " + "; ".join(details)
+          + " (|z| <= 4)")
+    assert ok
+
+
+def test_criterion_07_time_curves_match_the_inversion_oracle(ber_curves):
+    """The time curves at x = 0.2, 8 dB and x = 0.5, 5 dB against `oracles.time_ber`.
+
+    1e6 bits are 500 frames of 1000 symbols in each of 2 dimensions, one
+    offset per frame, so z uses the cluster variance
+    F (E_dt[2n p (1 - p)] + Var_dt(2n p)) (`cluster_z_score` with one bit
+    per draw).  It omits the correlation that shared ISI neighbours put
+    between the errors of nearby samples.  Bound, fixed before the first
+    run: |z| <= 4 at each point.
+    """
+    frames, bits_per_frame = 500, 2000
+    ok, details = True, []
+    for key, x, snr in (("time02", 0.2, 8.0), ("time05", 0.5, 5.0)):
+        snrs, bers = ber_curves[key]
+        ber = float(bers[snrs == snr][0])
+        w, p = time_ber(snr, x, PulseShape(0.5, 16))
+        z = cluster_z_score(round(ber * frames * bits_per_frame), frames, bits_per_frame,
+                            w, p, p)
+        ok &= abs(z) <= 4.0
+        details.append(f"x={x:g} {snr:g} dB: mc={ber:.4e} vs oracle={np.sum(w * p):.4e}, "
+                       f"z={z:+.2f}")
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion 07 time oracle: " + "; ".join(details)
           + " (|z| <= 4)")
     assert ok
 

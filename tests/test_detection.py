@@ -17,6 +17,10 @@ def ml_pair(sample, hyp, noise_var) -> BitPair:
     return BitPair(*ml_xor_bits(sample, hyp, noise_var)[0].tolist())
 
 
+# the offsets where the constellation degenerates or the folded range ends
+THETA_EDGES = st.sampled_from([0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0)])
+
+
 def test_hypotheses_cardinality_any_theta():
     for theta in (-0.7, -0.2, 0.0, 0.3, 0.78):
         hyp = build_hypotheses(theta)
@@ -36,11 +40,22 @@ def test_hypotheses_match_the_scalar_enumeration_bit_for_bit(theta):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@given(st.lists(st.one_of(THETA_EDGES, st.floats(-math.pi / 4, math.pi / 4, exclude_max=True)),
+                min_size=1, max_size=8))
+def test_hypotheses_of_a_tuple_are_the_one_offset_calls_bit_for_bit(thetas):
+    got = build_hypotheses(tuple(thetas))
+    assert got.shape == (len(thetas), 4, 4) and not got.flags.writeable
+    for row, theta in zip(got, thetas):
+        assert np.array_equal(row.view(np.uint64), build_hypotheses(theta).view(np.uint64))
+
+
 def test_hypotheses_reject_unfolded_theta():
     with pytest.raises(ValueError):
         build_hypotheses(math.pi / 4)
     with pytest.raises(ValueError):
         build_hypotheses(-math.pi / 2)
+    with pytest.raises(ValueError):
+        build_hypotheses((0.0, math.pi / 4))
 
 
 def test_hypotheses_at_zero_offset_match_level_lattice():
@@ -64,6 +79,18 @@ def test_threshold_known_decisions():
     assert threshold_bits([1.0, -1.0], 1.0).tolist() == [1, 1]  # boundary decides 1
     with pytest.raises(ValueError):
         threshold_bits([0.0], 0.0)
+    with pytest.raises(ValueError):
+        threshold_bits([[0.0], [0.0]], np.array([[1.0], [0.0]]))
+
+
+def test_threshold_with_a_scale_per_frame_is_the_per_frame_calls():
+    rng = np.random.default_rng(8)
+    r = rng.normal(0.0, 1.0, (5, 2, 300))
+    scale = rng.uniform(0.2, 1.0, 5)
+    got = threshold_bits(r, scale[:, None, None])
+    assert got.dtype == np.int8 and got.shape == r.shape
+    for f in range(5):
+        assert np.array_equal(got[f], threshold_bits(r[f], scale[f]))
 
 
 def test_ml_known_decisions():
@@ -126,30 +153,45 @@ def boundary_samples(points, noise_var, rng):
     return np.concatenate([mid, (mid + ulps).ravel(), (mid + margin).ravel(), near])
 
 
-def assert_bits_are_the_full_score_argmax(r, points, noise_var):
+def assert_bits_are_the_full_score_argmax(r, points, noise_var, got=None):
     c = ml_classes(r, points, noise_var)
     want = np.stack([c >> 1, c & 1], axis=1)
-    got = ml_xor_bits(r, points, noise_var)
+    got = ml_xor_bits(r, points, noise_var) if got is None else got
     assert got.dtype == np.int8 and got.shape == (r.size, 2)
     differ = np.flatnonzero((got != want).any(axis=1))
     assert differ.size == 0, (f"{differ.size} of {r.size} decisions differ, first at "
                               f"r={r[differ[0]]!r}: {got[differ[0]]} vs {want[differ[0]]}")
 
 
-@given(st.one_of(st.sampled_from([0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0)]),
-                 st.floats(-math.pi / 4, math.pi / 4, exclude_max=True)),
+@given(st.lists(st.one_of(THETA_EDGES, st.floats(-math.pi / 4, math.pi / 4, exclude_max=True)),
+                min_size=1, max_size=7),
        st.one_of(st.just(0.0), st.floats(-300.0, 1.0).map(lambda x: 10.0 ** x)),
        st.integers(0, 2**32 - 1))
-@example(0.0, 0.25, 3)
-@example(0.0, 1.0, 3)
-@example(-math.pi / 4, 0.05, 3)
-@example(math.nextafter(math.pi / 4, 0.0), 10.0, 3)
-@example(0.0, 1e-300, 3)
-@example(0.3, 0.0, 3)
-def test_ml_bits_are_the_full_score_argmax(theta, noise_var, seed):
-    pts = build_hypotheses(theta)
-    r = boundary_samples(pts, noise_var, np.random.default_rng(seed))
-    assert_bits_are_the_full_score_argmax(r, pts, noise_var)
+@example([0.0], 0.25, 3)
+@example([0.0], 1.0, 3)
+@example([-math.pi / 4], 0.05, 3)
+@example([math.nextafter(math.pi / 4, 0.0)], 10.0, 3)
+@example([0.0], 1e-300, 3)
+@example([0.3], 0.0, 3)
+@example([0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0), 0.3, 0.0, -0.2, 0.7], 0.05, 3)
+def test_ml_bits_are_the_full_score_argmax(thetas, noise_var, seed):
+    # one call over frames of mixed offsets, each with its own points; a frame
+    # holds 1448 samples, two frames to a 4096-symbol block of ml_xor_bits
+    rng = np.random.default_rng(seed)
+    pts = build_hypotheses(tuple(thetas))
+    r = [boundary_samples(p, noise_var, rng) for p in pts]
+    got = ml_xor_bits(np.concatenate(r), pts, noise_var)
+    assert got.dtype == np.int8 and got.shape == (sum(x.size for x in r), 2)
+    for frame, bits, p in zip(r, np.split(got, len(r)), pts):
+        assert_bits_are_the_full_score_argmax(frame, p, noise_var, bits)
+    if len(thetas) == 1:
+        assert np.array_equal(ml_xor_bits(r[0], pts[0], noise_var), got)
+
+
+def test_ml_frames_must_split_the_samples_evenly():
+    with pytest.raises(ValueError, match="equal frames"):
+        ml_xor_bits(np.zeros(5, complex), build_hypotheses((0.0, 0.1)), 1.0)
+    assert ml_xor_bits(np.zeros(0, complex), build_hypotheses(0.1), 1.0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from decimal import Decimal
 
@@ -10,11 +11,11 @@ from scipy.special import erfc
 
 from pncsync import harness
 from pncsync.cli import _parse_grid, main as cli_main
-from pncsync.impairments import isi_taps, mid_offset_frame, raised_cosine
+from pncsync.impairments import PulseShape, isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
 from pncsync.harness import (BerResult, ExperimentConfig, config_from_file, parse_config_file,
                              penalty_summary, run_ber, run_chain, run_mi, run_penalty)
-from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level
+from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level, time_ber
 
 
 def qfunc(x):
@@ -271,6 +272,18 @@ def test_perfect_ber_matches_analytic_oracle():
         assert abs(r.ber - want) < sigma4
 
 
+@pytest.mark.parametrize("snr", [20 * math.log10(2.0), 8.0, 20 * math.log10(3.0)])
+def test_time_oracle_at_zero_offset_is_the_perfect_closed_form(snr):
+    # at dt = 0 the ISI taps vanish (to 1e-16), so the inversion must give the closed form
+    w, p = time_ber(snr, 0.0, PulseShape(0.5, 16))
+    assert w.tolist() == [1.0]
+    assert p[0] == pytest.approx(perfect_ber_theory(snr), rel=1e-12, abs=0)
+    # and the offset average has converged at 16 Gauss-Legendre nodes
+    w, p = time_ber(snr, 0.5, PulseShape(0.5, 16))
+    w2, p2 = time_ber(snr, 0.5, PulseShape(0.5, 16), nodes=32)
+    assert np.sum(w * p) == pytest.approx(np.sum(w2 * p2), rel=1e-12, abs=0)
+
+
 def test_time_unsync_at_zero_range_equals_perfect_statistically():
     base = ExperimentConfig(command="ber", scenario="time_unsync", offset_range=0.0,
                             snr_grid_db=(8.0,), samples_per_point=400_000, master_seed=3)
@@ -320,9 +333,9 @@ def test_ber_worker_split_changes_batching_not_totals():
         assert r.ber == r.num_errors / r.num_bits
 
 
-def test_ber_streams_are_keyed_by_command_scenario_point_batch():
-    # point 1 of a time_unsync run, recomputed draw by draw from the
-    # streams (0, 2, point, batch): 3000 bits per batch = 3 frames x 2 dims
+def test_ber_streams_are_keyed_by_scenario_point_batch():
+    # point 1 of a time_unsync run, recomputed draw by draw from the streams
+    # (2, point, batch): 3000 bits per batch = 3 frames x 2 dims, one block
     cfg = ExperimentConfig(command="ber", scenario="time_unsync", offset_range=0.3,
                            snr_grid_db=(3.0, 5.0), samples_per_point=6_000, workers=2,
                            frame_length=500, master_seed=17)
@@ -331,20 +344,37 @@ def test_ber_streams_are_keyed_by_command_scenario_point_batch():
     sd = 10.0 ** (-5.0 / 20.0) / 2.0
     err = tot = 0
     for b in range(2):
-        rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(0, 2, 1, b)))
-        for _frame in range(3):
-            dt = rng.uniform(-0.3, 0.3)
-            scale = 0.5 * raised_cosine(dt / 2, 0.5)
-            _, te, tl = isi_taps(dt, pulse)
-            for _dim in range(2):
-                a1 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-                a3 = rng.integers(0, 2, n + 2 * L) * 2 - 1
-                r = (mid_offset_frame(a1, a3, te, tl)[L:L + n]
-                     + sd * rng.standard_normal(n))
+        rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(2, 1, b)))
+        dt = rng.uniform(-0.3, 0.3, 3)
+        a = rng.integers(0, 2, (3, 2, 2, n + 2 * L), dtype=np.int32) * 2 - 1
+        noise = rng.standard_normal((3, 2, n))
+        for f in range(3):
+            scale = 0.5 * raised_cosine(dt[f] / 2, 0.5)
+            _, te, tl = isi_taps(float(dt[f]), pulse)
+            for d in range(2):
+                a1, a3 = a[f, d]
+                r = mid_offset_frame(a1, a3, te, tl)[L:L + n] + sd * noise[f, d]
                 err += int(np.sum((np.abs(r) <= scale) != (a1[L:L + n] != a3[L:L + n])))
                 tot += n
     assert (got.num_errors, got.num_bits) == (err, tot)
     assert got.scenario == "time_unsync_x0.3"
+
+
+@pytest.mark.parametrize("scenario", ["perfect", "phase_unsync", "time_unsync"])
+def test_ber_memory_does_not_grow_with_the_budget(scenario):
+    # a batch works in blocks of at most harness._BLOCK symbols, so ten times
+    # the bits (2e5 -> 2e6 symbols, several blocks either way) need no more memory
+    peaks = []
+    for bits in (400_000, 4_000_000):
+        cfg = ExperimentConfig(command="ber", scenario=scenario, snr_grid_db=(8.0,),
+                               samples_per_point=bits, master_seed=9)
+        tracemalloc.start()
+        try:
+            run_ber(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pncsync.detection import build_hypotheses
 from pncsync.impairments import (
     PulseShape,
     _mid_offset_taps,
-    draw_phase_offset,
-    draw_time_offset,
     fold_phase,
     isi_taps,
     mid_offset_frame,
-    qpsk_pair_frame,
     raised_cosine,
     superpose_phase_offset,
-    time_offset_frame,
+    superposed_frames,
+    time_offset_frames,
 )
 from pncsync.mapping import BitPair, SuperposedLevel, pnc_xor_of_levels
 
@@ -332,86 +331,126 @@ def test_tap_grid_rows_are_the_scalar_taps_bit_for_bit(rolloff):
             assert np.array_equal(lags, want_lags)
             assert np.array_equal(te[row].view(np.uint64), want_te.view(np.uint64)), (L, dt)
             assert np.array_equal(tl[row].view(np.uint64), want_tl.view(np.uint64)), (L, dt)
-    # isi_taps itself takes one offset: its calls are keyed by their arguments
+        # a tuple of offsets gives the same rows through isi_taps
+        lags_t, te_t, tl_t = isi_taps(tuple(TAP_OFFSETS), pulse)
+        assert np.array_equal(lags_t, lags)
+        assert np.array_equal(te_t.view(np.uint64), te.view(np.uint64))
+        assert np.array_equal(tl_t.view(np.uint64), tl.view(np.uint64))
+    # but not an array: its calls are keyed by their (hashable) arguments
     with pytest.raises(TypeError):
         isi_taps(grid[:2], PulseShape())
 
 
 # ---------------------------------------------------------------------------
-# per-frame synthesis used by the BER and MI runners
+# block synthesis used by the BER and MI runners
 
 PULSE = PulseShape(0.5, 16)
 
 
+def test_superposition_rows_are_the_one_offset_calls_bit_for_bit():
+    sym = np.array(QPSK)
+    thetas = (0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0), 0.3, -1e-300, 5e-324)
+    rows = superpose_phase_offset(sym[:, None], sym[None, :], thetas)
+    assert rows.shape == (len(thetas), 4, 4)
+    for row, theta in zip(rows, thetas):
+        want = superpose_phase_offset(sym[:, None], sym[None, :], theta)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), theta
+
+
 def test_offset_draws_stay_in_range_and_follow_the_stream():
     rng, ref = np.random.default_rng(61), np.random.default_rng(61)
-    for _ in range(200):
-        theta = draw_phase_offset(rng)
-        assert -math.pi / 4 <= theta < math.pi / 4
-        assert theta == fold_phase(float(ref.uniform(-math.pi / 4, math.pi / 4)))[0]
-        dt = draw_time_offset(0.3, rng)
-        assert -0.3 <= dt <= 0.3 and dt == float(ref.uniform(-0.3, 0.3))
-    # a zero range draws nothing from the stream
-    assert draw_time_offset(0.0, rng) == 0.0
-    assert rng.random() == ref.random()
+    taps, _, _ = time_offset_frames(200, 1, 40, 0.3, PULSE, 0.1, rng)
+    dt = ref.uniform(-0.3, 0.3, 200)
+    assert np.all(np.abs(dt) <= 0.3)
+    assert np.array_equal(taps, _mid_offset_taps(dt, PULSE)[1])
+    # a zero range draws nothing from the stream: the trains come first
+    rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+    taps, _, x = time_offset_frames(3, 2, 40, 0.0, PULSE, 0.1, rng)
+    assert np.array_equal(taps, np.tile(isi_taps(0.0, PULSE)[1], (3, 1)))
+    a = ref.integers(0, 2, (3, 2, 2, 72), dtype=np.int32)
+    assert np.array_equal(x, a[:, :, 0, 16:56] != a[:, :, 1, 16:56])
+    # the phase batch folds every uniform draw; a reachable draw folds to itself
+    for theta in np.random.default_rng(62).uniform(-math.pi / 4, math.pi / 4, 2000).tolist():
+        assert fold_phase(theta) == (theta, 0)
 
 
 def test_frames_follow_the_documented_draw_order():
-    n, sd, theta, dt = 50, 0.4, 0.3, 0.25
+    frames, n, sd, thetas, x = 3, 50, 0.4, (0.3, -0.7, 0.0), 0.25
+    points = build_hypotheses(thetas)
     rng = np.random.default_rng(62)
-    r, xi, xq = qpsk_pair_frame(n, theta, sd, rng)
-    _, te, tl = isi_taps(dt, PULSE)
-    rt, xt = time_offset_frame(n, te, tl, sd, rng)
+    r, bits = superposed_frames(points, n, sd, rng)
+    taps, rt, xt = time_offset_frames(frames, 2, n, x, PULSE, sd, rng)
 
     ref = np.random.default_rng(62)
-    i1, q1, i3, q3 = (ref.integers(0, 2, n) for _ in range(4))
-    s1 = (2 * i1 - 1) + 1j * (2 * q1 - 1)
-    s3 = (2 * i3 - 1) + 1j * (2 * q3 - 1)
-    noise = ref.standard_normal(n) + 1j * ref.standard_normal(n)
-    assert np.allclose(r, s1 + s3 * np.exp(1j * theta) + sd * noise, rtol=0, atol=1e-12)
-    assert np.array_equal(xi, i1 ^ i3) and np.array_equal(xq, q1 ^ q3)
-    a1 = ref.integers(0, 2, n + 32) * 2 - 1
-    a3 = ref.integers(0, 2, n + 32) * 2 - 1
-    want = [_waveform_oracle(a1, a3, k, dt, 0.5, span=16)
-            for k in range(16, 16 + n)] + sd * ref.standard_normal(n)
-    assert np.allclose(rt, want, rtol=0, atol=1e-12)
-    assert np.array_equal(xt, a1[16:16 + n] != a3[16:16 + n])
+    idx = ref.integers(0, 16, (frames, n), dtype=np.uint8)
+    noise = ref.standard_normal((2, frames, n))
+    c, j = idx >> 2, idx & 3  # xor class and pair, s1 = QPSK[j], s3 = QPSK[j ^ c]
+    s1, s3 = np.array(QPSK)[j], np.array(QPSK)[j ^ c]
+    rot = np.exp(1j * np.array(thetas))[:, None]
+    assert np.allclose(r, s1 + s3 * rot + sd * (noise[0] + 1j * noise[1]), rtol=0, atol=1e-12)
+    assert np.array_equal(bits, np.stack([c >> 1, c & 1], axis=-1))
+    dt = ref.uniform(-x, x, frames)
+    a = ref.integers(0, 2, (frames, 2, 2, n + 32), dtype=np.int32) * 2 - 1
+    noise = ref.standard_normal((frames, 2, n))
+    for f in range(frames):
+        assert taps[f][16] == raised_cosine(dt[f] / 2, 0.5)
+        for d in range(2):
+            a1, a3 = a[f, d]
+            want = [_waveform_oracle(a1, a3, k, dt[f], 0.5, span=16)
+                    for k in range(16, 16 + n)] + sd * noise[f, d]
+            assert np.allclose(rt[f, d], want, rtol=0, atol=1e-12)
+            assert np.array_equal(xt[f, d], a1[16:16 + n] != a3[16:16 + n])
+
+
+def test_one_time_frame_is_the_per_frame_draw_bit_for_bit():
+    # the MI draws one frame of one dimension at a time: offset, then two
+    # trains of n + 2L symbols, then n noise values, as it always has
+    for x, n in ((0.5, 1000), (0.0, 37), (0.3, 100)):
+        rng, ref = np.random.default_rng(66), np.random.default_rng(66)
+        for _ in range(3):
+            taps, r, xbit = time_offset_frames(1, 1, n, x, PULSE, 0.3, rng)
+            dt = float(ref.uniform(-x, x)) if x > 0 else 0.0
+            _, te, tl = isi_taps(dt, PULSE)
+            a1 = ref.integers(0, 2, n + 32) * 2 - 1
+            a3 = ref.integers(0, 2, n + 32) * 2 - 1
+            want = mid_offset_frame(a1, a3, te, tl)[16:16 + n] + 0.3 * ref.standard_normal(n)
+            assert np.array_equal(taps[0].view(np.uint64), te.view(np.uint64))
+            assert np.array_equal(r[0, 0].view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(xbit[0, 0], a1[16:16 + n] != a3[16:16 + n])
 
 
 def test_noiseless_frames_carry_the_true_xor():
     # theta = 0: levels {-2, 0, 2} per dimension, demapped by the relay rule
-    r, xi, xq = qpsk_pair_frame(400, 0.0, 0.0, np.random.default_rng(63))
-    for v, bi, bq in zip(r, xi, xq):
+    r, bits = superposed_frames(build_hypotheses((0.0,)), 400, 0.0, np.random.default_rng(63))
+    for v, (bi, bq) in zip(r[0], bits[0]):
         level = SuperposedLevel(int(v.real), int(v.imag))
         assert complex(level.i_level, level.q_level) == v
         assert pnc_xor_of_levels(level) == BitPair(int(bi), int(bq))
     # dt = 0: levels {-1, 0, 1}, and level 0 exactly where the trains differ
-    _, te, tl = isi_taps(0.0, PULSE)
-    rt, xt = time_offset_frame(400, te, tl, 0.0, np.random.default_rng(64))
+    _, rt, xt = time_offset_frames(2, 2, 400, 0.0, PULSE, 0.0, np.random.default_rng(64))
     levels = np.rint(rt)
-    assert set(levels.tolist()) == {-1.0, 0.0, 1.0}
+    assert set(levels.ravel().tolist()) == {-1.0, 0.0, 1.0}
     assert np.allclose(rt, levels, rtol=0, atol=1e-12)
-    assert np.array_equal(xt, (levels == 0).astype(np.int8))
+    assert np.array_equal(xt, levels == 0)
 
 
 @pytest.mark.parametrize("frame", ["qpsk", "time"])
 def test_frame_noise_statistics(frame):
     # same stream with and without noise: the difference is the added noise
-    n = 100_000
+    n = 50_000
     sd = 10.0 ** (-6.0 / 20.0)  # the per-dimension sd of the runners at 6 dB
 
     def synth(s):
         rng = np.random.default_rng(65)
         if frame == "qpsk":
-            return qpsk_pair_frame(n, 0.2, s, rng)[0]
-        _, te, tl = isi_taps(0.3, PULSE)
-        return time_offset_frame(n, te, tl, s, rng)[0]
+            return superposed_frames(build_hypotheses((0.2, -0.1)), n, s, rng)[0]
+        return time_offset_frames(2, 1, n, 0.3, PULSE, s, rng)[1]
 
-    noise = synth(sd) - synth(0.0)
+    noise = (synth(sd) - synth(0.0)).ravel()
     dims = (noise.real, noise.imag) if frame == "qpsk" else (noise,)
     for d in dims:
-        assert abs(d.mean()) < 4.0 * sd / math.sqrt(n)
+        assert abs(d.mean()) < 4.0 * sd / math.sqrt(d.size)
         # relative sd of a sample variance is sqrt(2/n) ~ 0.0045
         assert d.var() == pytest.approx(sd * sd, rel=0.02)
     if frame == "qpsk":
-        assert abs(np.corrcoef(noise.real, noise.imag)[0, 1]) < 4.0 / math.sqrt(n)
+        assert abs(np.corrcoef(noise.real, noise.imag)[0, 1]) < 4.0 / math.sqrt(noise.size)
