@@ -23,6 +23,8 @@ from .impairments import PulseShape, _mid_offset_taps, raised_cosine
 # scheme comparison footer (not recomputed here).
 PNC_1D_SIR_DB = 15.3
 
+SNR0_DB = 10.0  # reference SNR of the time-offset penalty (pnc penalty)
+
 # offsets per tap grid in isi_variance; bounds its temporaries to a few (64, 2L+1) arrays
 _GRID_BLOCK = 64
 _SIR_MAX_TERMS = 100_000  # cap on the terms of the 1-D SIR series
@@ -34,7 +36,7 @@ _CURVE_POINTS = 101  # points of each tabulated penalty curve
 class SinrContext:
     """Reference SNR and pulse parameters for the time-offset penalty."""
 
-    snr0_db: float = 10.0
+    snr0_db: float = SNR0_DB
     rolloff: float = 0.5
     truncation_symbols: int = 16
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 
 from . import harness
@@ -13,7 +14,7 @@ _MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(text: str) -> tuple:
-    """SNR grid as 'start:stop[:step]' (default step 1) or a comma list.
+    """SNR grid as 'start:stop[:step]' (default step 1) or a list, as in a config file.
 
     A range holds start + i*step for every i that stays at or below stop.
     Points are computed in decimal and rounded once, so '0:1:0.3' gives
@@ -21,7 +22,7 @@ def _parse_grid(text: str) -> tuple:
     _MAX_GRID_POINTS strictly increasing finite floats in [start, stop].
     """
     if ":" not in text:
-        return tuple(float(v) for v in text.split(","))
+        return harness.parse_floats(text)
     parts = text.split(":")
     if len(parts) == 2:
         parts.append("1")
@@ -52,13 +53,14 @@ def _parse_grid(text: str) -> tuple:
 def _common(sub):
     sub.set_defaults(usage_error=sub.error)  # names this subcommand's usage
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, help="master RNG seed")
+    sub.add_argument("--seed", dest="master_seed", type=int, help="master RNG seed")
     sub.add_argument("--workers", type=int, help="batches per SNR point, run in turn, not in "
                      "parallel; each rounds its share of --samples up to whole frames")
-    sub.add_argument("--out", help="output file path")
+    sub.add_argument("--out", dest="output_path", help="output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `pnc` parser; each option's dest is the ExperimentConfig field it sets."""
     ap = argparse.ArgumentParser(
         prog="pnc",
         description="Synchronization-error experiments for physical-layer "
@@ -70,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = sp.add_parser(cmd, help=blurb)
         _common(sub)
         sub.add_argument("--scenario", choices=harness.SCENARIOS)
-        sub.add_argument("--snr-grid", help="'start:stop:step' or comma list, dB")
-        sub.add_argument("--samples", type=int,
+        sub.add_argument("--snr-grid", dest="snr_grid_db",
+                         help="'start:stop[:step]' or a comma or space list, dB")
+        sub.add_argument("--samples", dest="samples_per_point", type=int,
                          help="bits (ber) or samples (mi) per SNR point")
         sub.add_argument("--offset-range", type=float,
                          help="time-offset half-range x, dt/T in [-x, x]")
@@ -84,41 +87,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = sp.add_parser("chain", help="N-node chain synchronization plan")
     _common(sub)
-    sub.add_argument("--nodes", type=int)
-    sub.add_argument("--bg-time", type=float, help="per-group sync time, s")
-    sub.add_argument("--period", type=float, help="resynchronization period, s")
-    sub.add_argument("--errors", help="local error triple 'theta,freq,time'")
-    sub.add_argument("--halved", action="store_true",
+    sub.add_argument("--nodes", dest="chain_nodes", type=int)
+    sub.add_argument("--bg-time", dest="chain_bg_time", type=float,
+                     help="per-group sync time, s")
+    sub.add_argument("--period", dest="chain_period", type=float,
+                     help="resynchronization period, s")
+    sub.add_argument("--errors", dest="chain_local_errors",
+                     help="local error triple 'theta,freq,time'")
+    sub.add_argument("--halved", dest="chain_halved", action="store_true", default=None,
                      help="also report the combined-sub-phase ts/2 estimate")
     return ap
 
 
 def _overrides(args) -> dict:
-    ov = {
-        "command": args.command,
-        "master_seed": args.seed,
-        "workers": args.workers,
-        "output_path": args.out,
-    }
-    if args.command in ("ber", "mi"):
-        ov.update(scenario=args.scenario,
-                  samples_per_point=args.samples,
-                  offset_range=args.offset_range,
-                  rolloff=args.rolloff,
-                  frame_length=args.frame_length)
-        if args.snr_grid:
-            ov["snr_grid_db"] = _parse_grid(args.snr_grid)
-    elif args.command == "penalty":
-        ov["rolloff"] = args.rolloff
-    else:
-        ov.update(chain_nodes=args.nodes,
-                  chain_bg_time=args.bg_time,
-                  chain_period=args.period)
-        if args.errors:
-            ov["chain_local_errors"] = tuple(float(v) for v in args.errors.split(","))
-        if args.halved:
-            ov["chain_halved"] = True
-    return {k: v for k, v in ov.items() if v is not None}
+    """The ExperimentConfig fields the command line sets, parsed."""
+    ov = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
+          if getattr(args, f.name, None) is not None}
+    if "snr_grid_db" in ov:
+        ov["snr_grid_db"] = _parse_grid(ov["snr_grid_db"])
+    if "chain_local_errors" in ov:
+        ov["chain_local_errors"] = harness.parse_floats(ov["chain_local_errors"])
+    return ov
 
 
 def main(argv=None) -> int:

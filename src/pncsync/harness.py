@@ -176,9 +176,14 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def parse_floats(text: str) -> tuple:
+    """A list of floats separated by commas or whitespace, in a config file or a flag."""
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
 def _parse_value(key: str, text: str):
     if key in ("snr_grid_db", "chain_local_errors"):
-        return tuple(float(v) for v in text.replace(",", " ").split())
+        return parse_floats(text)
     if key in ("command", "scenario", "output_path"):
         return text
     if key == "chain_halved":
@@ -351,8 +356,7 @@ def penalty_summary(ctx: analysis.SinrContext) -> dict:
 
 def run_penalty(cfg: ExperimentConfig):
     """Closed-form penalty curves plus the scalar summary footer."""
-    ctx = analysis.SinrContext(snr0_db=10.0, rolloff=cfg.rolloff,
-                               truncation_symbols=cfg.truncation)
+    ctx = analysis.SinrContext(rolloff=cfg.rolloff, truncation_symbols=cfg.truncation)
     curves = analysis.emit_penalty_curves(ctx)
     summary = penalty_summary(ctx)
     if cfg.output_path:
@@ -415,7 +419,7 @@ def write_mi_csv(path, cfg: ExperimentConfig, estimates):
 def write_penalty_csv(path, cfg: ExperimentConfig, curves, summary):
     lines = [
         "# figure: sync-error-penalty-curves",
-        f"# rolloff={cfg.rolloff!r} truncation={cfg.truncation} snr0_db=10.0",
+        f"# rolloff={cfg.rolloff!r} truncation={cfg.truncation} snr0_db={analysis.SNR0_DB!r}",
         "curve,parameter,penalty_db",
     ]
     for name, points in curves:

@@ -1,8 +1,10 @@
 import math
 import re
+import shlex
 import tracemalloc
 from dataclasses import fields
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from pncsync import harness
-from pncsync.cli import _parse_grid, main as cli_main
+from pncsync.cli import _overrides, _parse_grid, build_parser, main as cli_main
 from pncsync.impairments import PulseShape, isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
 from pncsync.harness import (BerResult, ExperimentConfig, config_from_file, parse_config_file,
-                             penalty_summary, run_ber, run_chain, run_mi, run_penalty)
+                             penalty_summary, run_ber, run_chain, run_mi, run_penalty,
+                             scenario_label)
 from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level, time_ber
 
 
@@ -608,10 +611,46 @@ def test_cli_bad_grid_exits_2_with_one_line(capsys):
     ("ber --seed -1 --snr-grid 4 --samples 1000", "master_seed must be >= 0, got -1"),
     ("chain --nodes 5 --errors=-0.1,0.02,-0.001",
      "local_errors must be >= 0, got (-0.1, 0.02, -0.001)"),
+    ("ber --snr-grid= --samples 1000", "snr_grid_db must be non-empty"),
+    ("chain --errors=", "local_errors must be a triple"),
 ], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed",
-        "errors_negative"])
+        "errors_negative", "grid_empty", "errors_empty"])
 def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
     assert cli_usage_error(argv.split(), capsys) == f"pnc {argv.split()[0]}: error: {message}"
+
+
+def test_cli_flags_set_config_fields_only():
+    # _overrides reads a flag by its dest, so a dest that is no config field would be dropped
+    names = {f.name for f in fields(ExperimentConfig)} | {"config", "usage_error"}
+    for cmd in harness.COMMANDS:
+        assert set(vars(build_parser().parse_args([cmd]))) <= names, cmd
+
+
+@pytest.mark.parametrize("text", ["0.1,0.02,0.001", "0.1 0.02 0.001", " 0.1 ,0.02,  0.001 "])
+def test_cli_lists_parse_as_in_the_config_file(tmp_path, text):
+    p = tmp_path / "c.cfg"
+    p.write_text(f"snr_grid_db = {text}\nchain_local_errors = {text}\n", encoding="utf-8")
+    in_file = parse_config_file(p)
+    errors = _overrides(build_parser().parse_args(["chain", "--errors", text]))
+    grid = _overrides(build_parser().parse_args(["ber", "--snr-grid", text]))
+    assert errors["chain_local_errors"] == in_file["chain_local_errors"] == (0.1, 0.02, 0.001)
+    assert grid["snr_grid_db"] == in_file["snr_grid_db"] == (0.1, 0.02, 0.001)
+
+
+def test_readme_commands_build_their_configs():
+    # the README's reproduction table is the recipe for every result; build, do not run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reproducing the results", 1)[1].split("\n## ", 1)[0]
+    commands = re.findall(r"`pnc ([^`]*)`", section)
+    outputs = []
+    for line in commands:
+        cfg = ExperimentConfig(**_overrides(build_parser().parse_args(shlex.split(line))))
+        if cfg.command in ("ber", "mi"):
+            assert cfg.output_path == f"results/{cfg.command}_{scenario_label(cfg)}.csv", line
+        if cfg.output_path:
+            outputs.append(cfg.output_path)
+    assert len(outputs) == len(set(outputs)) == 9
+    assert len(commands) == 13
 
 
 def test_cli_mi_smoke(tmp_path):
