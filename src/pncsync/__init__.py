@@ -2,7 +2,7 @@
 network coding (PNC) on a two-way relay channel.
 
 Submodules:
-    mapping      QPSK modulation and the relay's xor demap
+    mapping      QPSK map and the class-major layout of the 16 pairs
     impairments  phase folding, raised-cosine ISI taps, per-frame synthesis
     detection    threshold and ML xor detectors at the relay
     analysis     closed-form penalty math (min distance, SIR, SINR)

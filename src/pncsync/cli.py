@@ -7,6 +7,7 @@ import math
 import sys
 from dataclasses import fields
 from decimal import Decimal, InvalidOperation
+from pathlib import Path
 
 from . import harness
 
@@ -120,6 +121,12 @@ def main(argv=None) -> int:
             cfg = harness.config_from_file(args.config, **ov)
         else:
             cfg = harness.ExperimentConfig(**ov)
+        out = cfg.output_path and Path(cfg.output_path)
+        if out and not out.parent.is_dir():
+            raise ValueError(f"output path {cfg.output_path!r}: {str(out.parent)!r} "
+                             "is not a directory")
+        if out and out.is_dir():
+            raise ValueError(f"output path {cfg.output_path!r} is a directory")
     except ValueError as exc:
         args.usage_error(str(exc))
 

@@ -25,24 +25,15 @@ mutual-information estimators use it too.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numpy as np
 
-from .impairments import superpose_phase_offset
-from .mapping import ALL_BIT_PAIRS, qpsk_modulate
+from .mapping import CLASS_BITS, S1, S3, qpsk_modulate
 
 # class index c = 2*x_i + x_q, lexicographic in (x_i, x_q)
 NUM_CLASSES = 4
 PAIRS_PER_CLASS = 4
-
-
-# Class-order index tables of build_hypotheses: entry (c, j) is the j-th
-# generating pair (b1, b3) of xor class c, as indices into ALL_BIT_PAIRS
-# (index 2*i + q, so the index of b1 ^ b3 is the xor of the indices).
-_S1 = np.tile(np.arange(PAIRS_PER_CLASS), (NUM_CLASSES, 1))
-_S3 = _S1 ^ np.arange(NUM_CLASSES)[:, None]
-
-_BITS = np.array([[c >> 1, c & 1] for c in range(NUM_CLASSES)], dtype=np.int8)
 _CHUNK = 4096  # symbols per block of ml_xor_bits
 # log 4 + 1e-9 + 2^-50 * 2: a class score's upper end above lo, bar 2^-50 |lo|
 _SCORE_SLACK = math.log(4.0) + 1e-9 + 2.0 ** -49
@@ -51,17 +42,22 @@ _SCORE_SLACK = math.log(4.0) + 1e-9 + 2.0 ** -49
 def build_hypotheses(theta) -> np.ndarray:
     """The 16 superposed points s1 + s3*e^{j*theta}, grouped by xor class.
 
-    Row c of the read-only (4, 4) array holds the four points whose
-    generating pair satisfies (i1^i3, q1^q3) == (c >> 1, c & 1), in
-    s1-major enumeration order.  theta must already be folded into
-    [-pi/4, pi/4).  A tuple of F offsets gives an (F, 4, 4) array, one
-    constellation per offset, each with the bits of its one-offset call.
+    The read-only (4, 4) array is the class-major layout of `mapping`:
+    entry (c, j) is the point of pair j of xor class c.  theta must
+    already be folded into [-pi/4, pi/4).  A tuple of F offsets gives an
+    (F, 4, 4) array, one constellation per offset; e^{j*theta} comes from
+    cmath either way, so each has the bits of its one-offset call.
     """
-    for t in theta if isinstance(theta, tuple) else (theta,):
+    thetas = theta if isinstance(theta, tuple) else (theta,)
+    for t in thetas:
         if not -math.pi / 4 <= t < math.pi / 4:
             raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {t}")
-    sym = np.array([qpsk_modulate(b).as_complex() for b in ALL_BIT_PAIRS])
-    pts = superpose_phase_offset(sym[_S1], sym[_S3], theta)
+    sym = np.array([qpsk_modulate(pair) for pair in range(4)])
+    if isinstance(theta, tuple):
+        rot = np.array([cmath.exp(1j * t) for t in thetas]).reshape(-1, 1, 1)
+    else:
+        rot = cmath.exp(1j * theta)
+    pts = sym[S1] + sym[S3] * rot
     pts.setflags(write=False)
     return pts
 
@@ -142,7 +138,7 @@ def _ml_frames(r, points, noise_var):
     a /= -2.0 * noise_var if noise_var else -1.0  # -d2 / (2 sigma^2), bit for bit
     lo = a.max(axis=1)
     if noise_var == 0:
-        return _BITS[lo.argmax(axis=0)]
+        return CLASS_BITS[lo.argmax(axis=0)]
     # classes whose score can reach the best lo: their upper end, lo + log 4
     # + 1e-9 + 2^-50 (|lo| + 2) with |lo| = -lo, is at least that lo
     rival = lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK >= lo.max(axis=0)
@@ -150,5 +146,5 @@ def _ml_frames(r, points, noise_var):
     bits = np.stack([rival[2] | rival[3], rival[1] | rival[3]], axis=1).view(np.int8)
     undecided = np.flatnonzero(rival.sum(axis=0) > 1)
     if undecided.size:
-        bits[undecided] = _BITS[logsumexp(a[:, :, undecided], axis=1).argmax(axis=0)]
+        bits[undecided] = CLASS_BITS[logsumexp(a[:, :, undecided], axis=1).argmax(axis=0)]
     return bits

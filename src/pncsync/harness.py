@@ -19,9 +19,9 @@ Draw contract of a BER batch.  A batch works in blocks of at most _BLOCK
 (2^16) symbols, whole frames where it has frames (at least one frame per
 block), so its memory does not grow with the budget.  Per block, in order:
 
-  perfect        uint8 indices (m,) into the 16 class-major points of
-                 `build_hypotheses` (index 4c + j: xor class c, pair j),
-                 then noise (2, m) for I and Q
+  perfect        uint8 indices (m,) into the 16 points of
+                 `build_hypotheses`, in the class-major layout of
+                 `mapping`, then noise (2, m) for I and Q
   phase_unsync   offsets uniform(-pi/4, pi/4) (F,), each through
                  `fold_phase`; uint8 indices (F, n) into each frame's
                  points, `build_hypotheses` of the F offsets; noise (2, F, n)
@@ -157,7 +157,7 @@ class MiEstimate:
 def parse_config_file(path) -> dict:
     """Read a flat key-value config document into a dict of typed values."""
     out = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
+    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -167,10 +167,10 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in valid:
+            if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _parse_value(key, val.strip())
+                out[key] = _parse_value(kinds[key], val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
@@ -181,19 +181,15 @@ def parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _parse_value(key: str, text: str):
-    if key in ("snr_grid_db", "chain_local_errors"):
+def _parse_value(kind: str, text: str):
+    """A value of a field annotated kind: 'int', 'float', 'str', 'tuple' or 'bool'."""
+    if kind == "tuple":
         return parse_floats(text)
-    if key in ("command", "scenario", "output_path"):
-        return text
-    if key == "chain_halved":
+    if kind == "bool":
         if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
         return text.lower() in ("1", "true", "yes", "on")
-    if key in ("samples_per_point", "truncation", "master_seed", "workers",
-               "frame_length", "chain_nodes"):
-        return int(text)
-    return float(text)
+    return {"int": int, "float": float, "str": str}[kind](text)
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:

@@ -23,11 +23,12 @@ contract in `harness`), so runs are reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mapping import POINT_BITS
 
 QUARTER = math.pi / 2
 _SING_TOL = 1e-9  # exact-hit window around removable singularities, in symbol periods
@@ -59,19 +60,6 @@ def fold_phase(theta: float) -> tuple[float, int]:
     folded = math.remainder(theta, QUARTER)  # exactly theta - k*QUARTER, in [-pi/4, pi/4]
     folded = -folded if folded == math.pi / 4 else folded  # the range is half-open
     return folded, round((theta - folded) / QUARTER) % 4
-
-
-def superpose_phase_offset(s1, s3, theta):
-    """Noiseless superposition s1 + s3*e^{j*theta} at the relay.
-
-    theta is one offset, or a tuple of offsets for a leading axis of
-    results, one per offset; e^{j*theta} comes from cmath either way, so
-    each entry has the bits of the one-offset call.
-    """
-    if isinstance(theta, tuple):
-        rot = np.array([cmath.exp(1j * t) for t in theta])
-        return s1 + s3 * rot.reshape((-1,) + (1,) * np.ndim(s3))
-    return s1 + s3 * cmath.exp(1j * theta)
 
 
 def raised_cosine(t, rolloff: float = 0.5):
@@ -171,17 +159,14 @@ def mid_offset_frame(a1, a3, taps_early, taps_late) -> np.ndarray:
 # channel synthesis of the Monte-Carlo runners, a block of frames per call
 # (draw order is part of the RNG stream contract)
 
-# xor bits (c >> 1, c & 1) of the pair at index 4c + j of the class-major points
-_CLASS_BITS = np.array([[i >> 3, (i >> 2) & 1] for i in range(16)], dtype=np.int8)
-
 
 def superposed_frames(points: np.ndarray, n: int, sd: float, rng: np.random.Generator):
     """n noisy relay samples per frame of r = s1 + s3 e^{j theta} + noise.
 
     points is the (F, 4, 4) array of `build_hypotheses`, one constellation
     per frame.  Draws the (F, n) uint8 indices of the sent pairs into each
-    frame's class-major points (index 4c + j: xor class c, pair j), then
-    the I and Q noise (2, F, n), each N(0, sd^2).  Returns (r, xor bits):
+    frame's points, in the class-major layout of `mapping`, then the I
+    and Q noise (2, F, n), each N(0, sd^2).  Returns (r, xor bits):
     complex (F, n) and int8 (F, n, 2).
     """
     frames = len(points)
@@ -191,7 +176,7 @@ def superposed_frames(points: np.ndarray, n: int, sd: float, rng: np.random.Gene
     r = np.take_along_axis(points.reshape(frames, 16), idx, axis=1)
     r.real += noise[0]
     r.imag += noise[1]
-    return r, np.take(_CLASS_BITS, idx, axis=0)
+    return r, np.take(POINT_BITS, idx, axis=0)
 
 
 def time_offset_frames(frames: int, dims: int, n: int, half_range: float, pulse: PulseShape,

@@ -1,80 +1,32 @@
-"""QPSK mapping at the end nodes and the xor demap at the relay.
+"""QPSK map and the class-major layout of the 16 pairs.
 
 Amplitudes are +-1 per real dimension (unit power per dimension per node),
 so the noiseless superposition of two symbols lives on {-2, 0, +2} per
 dimension.  The relay never recovers the individual symbols; it maps the
-superposed level directly to the xor of the two source bits.
+superposed level directly to the xor of the two source bits: level +-2
+(the sources agree) to bit 0, level 0 to bit 1.
+
+A bit pair (i, q) has index 2i + q, so the index of the xor of two pairs
+is the xor of their indices.  Every Monte-Carlo path lays the 16 source
+pairs (s1, s3) out class-major: index 4c + j is pair j of xor class c,
+with s1 = S1[c, j] = j and s3 = S3[c, j] = j ^ c, and class c carries the
+xor bits CLASS_BITS[c] = (c >> 1, c & 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-_LEVELS = (-2, 0, 2)
-
-
-@dataclass(frozen=True)
-class BitPair:
-    """One QPSK symbol's worth of data: in-phase bit and quadrature bit."""
-
-    i_bit: int
-    q_bit: int
-
-    def __post_init__(self):
-        for b in (self.i_bit, self.q_bit):
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {(self.i_bit, self.q_bit)}")
-
-    def __xor__(self, other: "BitPair") -> "BitPair":
-        return BitPair(self.i_bit ^ other.i_bit, self.q_bit ^ other.q_bit)
+S1 = np.tile(np.arange(4), (4, 1))
+S3 = S1 ^ np.arange(4)[:, None]
+CLASS_BITS = np.array([[c >> 1, c & 1] for c in range(4)], dtype=np.int8)
+POINT_BITS = CLASS_BITS.repeat(4, axis=0)  # xor bits of the pair at index 4c + j
+for _table in (S1, S3, CLASS_BITS, POINT_BITS):
+    _table.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class QpskSymbol:
-    """Amplitude pair (a, b), each in {-1, +1}."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        for v in (self.a, self.b):
-            if v not in (-1, 1):
-                raise ValueError(f"amplitudes must be -1 or +1, got {(self.a, self.b)}")
-
-    def as_complex(self) -> complex:
-        return complex(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class SuperposedLevel:
-    """Noiseless sum of two QPSK symbols, {-2, 0, +2} per dimension."""
-
-    i_level: int
-    q_level: int
-
-    def __post_init__(self):
-        for v in (self.i_level, self.q_level):
-            if v not in _LEVELS:
-                raise ValueError(f"levels must be in {_LEVELS}, got {(self.i_level, self.q_level)}")
-
-
-ALL_BIT_PAIRS = tuple(BitPair(i, q) for i in (0, 1) for q in (0, 1))
-
-
-def qpsk_modulate(bits: BitPair) -> QpskSymbol:
-    """Map a bit pair to amplitudes: a = 2*i_bit - 1, b = 2*q_bit - 1."""
-    return QpskSymbol(2 * bits.i_bit - 1, 2 * bits.q_bit - 1)
-
-
-def superpose_symbols(s1: QpskSymbol, s3: QpskSymbol) -> SuperposedLevel:
-    """Noiseless sum of two symbols at the relay (perfect sync)."""
-    return SuperposedLevel(s1.a + s3.a, s1.b + s3.b)
-
-
-def pnc_xor_of_levels(level: SuperposedLevel) -> BitPair:
-    """Relay demap: level +-2 -> bit 0, level 0 -> bit 1, per dimension.
-
-    For every generating pair this equals the xor of the two source bits:
-    the sources agree (sum +-2) exactly when their bits are equal.
-    """
-    return BitPair(int(level.i_level == 0), int(level.q_level == 0))
+def qpsk_modulate(pair: int) -> complex:
+    """The QPSK symbol a + jb of bit pair 2i + q: a = 2i - 1, b = 2q - 1."""
+    if pair not in range(4):
+        raise ValueError(f"bit pair index must be 0..3, got {pair!r}")
+    return complex(2 * (pair >> 1) - 1, 2 * (pair & 1) - 1)

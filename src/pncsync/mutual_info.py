@@ -53,7 +53,7 @@ def mi_given_theta(snr_db: float, theta: float, num_samples: int,
     while left > 0:
         n = min(left, _CHUNK)
         idx = rng.integers(0, 16, n)
-        cls = idx >> 2  # row-major: point j of class c sits at 4c + j
+        cls = idx >> 2  # the xor class, in the class-major layout of `mapping`
         r = flat[idx] + sd * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         # class-major (16, n): the per-class sums run over whole rows, in the
         # same order as along a short last axis; the 16-term sum is pairwise,

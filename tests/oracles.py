@@ -1,35 +1,45 @@
-"""Test-only references: the scalar enumeration of the 16 superposed points,
-the full ML class scores, the brute-force minimum distance (criterion 09),
-the 2^8 sign patterns of the time-offset MI's window ISI, the 2-D grid
-integrals of the phase-offset MI and ML BER, the characteristic-function
-inversion of the time-offset BER, and the horizontal SNR gaps read off BER
-and MI curves (criteria 07 and 08)."""
+"""Test-only references: the paper's relay demap table and the scalar
+enumeration of the 16 superposed points, the full ML class scores, the
+brute-force minimum distance (criterion 09), the 2^8 sign patterns of the
+time-offset MI's window ISI, the 2-D grid integrals of the phase-offset MI
+and ML BER, the characteristic-function inversion of the time-offset BER,
+and the horizontal SNR gaps read off BER and MI curves (criteria 07 and 08)."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 from scipy.special import ndtr
 
 from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses, logsumexp
-from pncsync.impairments import isi_taps, superpose_phase_offset
-from pncsync.mapping import ALL_BIT_PAIRS, qpsk_modulate
+from pncsync.impairments import isi_taps
 from pncsync.mutual_info import _ENUM_WINDOW
+
+# the paper's relay demap, per dimension: the sources agree (level +-2) -> bit 0,
+# they differ (level 0) -> bit 1; any other level is no noiseless superposition
+_DEMAP = {-2: 0, 0: 1, 2: 0}
+
+
+def pnc_xor_of_levels(level: complex) -> tuple[int, int]:
+    """The xor bits (x_i, x_q) the relay demaps a noiseless superposed level to."""
+    return _DEMAP[level.real], _DEMAP[level.imag]
 
 
 def hypotheses_by_enumeration(theta: float) -> np.ndarray:
     """The 16 points s1 + s3*e^{j*theta} by xor class, one scalar pair at a time.
 
-    Row c holds the points of the pairs with (i1^i3, q1^q3) == (c >> 1, c & 1),
-    in s1-major order: the reference for `build_hypotheses`.
+    Bits (i, q) map to the amplitudes (2i - 1, 2q - 1).  Row c holds the
+    points of the pairs with (i1^i3, q1^q3) == (c >> 1, c & 1), in s1-major
+    order: the reference for `build_hypotheses`.
     """
     pts = np.zeros((NUM_CLASSES, PAIRS_PER_CLASS), dtype=complex)
     count = [0] * NUM_CLASSES
-    for b1 in ALL_BIT_PAIRS:
-        for b3 in ALL_BIT_PAIRS:
-            c = 2 * (b1.i_bit ^ b3.i_bit) + (b1.q_bit ^ b3.q_bit)
-            pts[c, count[c]] = superpose_phase_offset(
-                qpsk_modulate(b1).as_complex(), qpsk_modulate(b3).as_complex(), theta)
-            count[c] += 1
+    for i1, q1, i3, q3 in itertools.product((0, 1), repeat=4):
+        c = 2 * (i1 ^ i3) + (q1 ^ q3)
+        s1, s3 = complex(2 * i1 - 1, 2 * q1 - 1), complex(2 * i3 - 1, 2 * q3 - 1)
+        pts[c, count[c]] = s1 + s3 * cmath.exp(1j * theta)
+        count[c] += 1
     return pts
 
 

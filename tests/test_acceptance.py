@@ -23,12 +23,13 @@ from pncsync.harness import (
     run_penalty,
 )
 from pncsync.impairments import PulseShape
-from pncsync.mapping import ALL_BIT_PAIRS, pnc_xor_of_levels, qpsk_modulate, superpose_symbols
+from pncsync.mapping import CLASS_BITS, S1, S3
 from pncsync.chain import ChainConfig, effective_detection_errors, make_plan, partition_groups
 from scipy.special import erfc
 
 from oracles import (cluster_z_score, horizontal_gap_db, max_horizontal_gap_db,
-                     min_interclass_distance_sq, phase_ml_error_moments, time_ber)
+                     min_interclass_distance_sq, phase_ml_error_moments, pnc_xor_of_levels,
+                     time_ber)
 
 SEED = 1234567
 
@@ -84,15 +85,20 @@ def mi_curves():
 
 
 def test_criterion_01_exhaustive_xor_mapping_table():
+    # the program's class-major layout: each (s1, s3) pair sits exactly once,
+    # in class s1 ^ s3, and the class bits are the paper's demap of its level
     t0 = time.time()
-    ok = True
-    for s1 in ALL_BIT_PAIRS:
-        for s3 in ALL_BIT_PAIRS:
-            level = superpose_symbols(qpsk_modulate(s1), qpsk_modulate(s3))
-            ok &= pnc_xor_of_levels(level) == s1 ^ s3
+    levels = build_hypotheses(0.0)
+    pairs = [(int(S1[c, j]), int(S3[c, j])) for c in range(4) for j in range(4)]
+    ok = sorted(pairs) == [(s1, s3) for s1 in range(4) for s3 in range(4)]
+    for k, (s1, s3) in enumerate(pairs):
+        c, j = divmod(k, 4)
+        source_xor = ((s1 >> 1) ^ (s3 >> 1), (s1 & 1) ^ (s3 & 1))
+        ok &= c == s1 ^ s3
+        ok &= tuple(CLASS_BITS[c].tolist()) == pnc_xor_of_levels(levels[c, j]) == source_xor
     dt = time.time() - t0
     ok &= dt < 1.0
-    assert _report(1, ok, f"all 16 pairs demap to the exact xor in {dt:.3f}s")
+    assert _report(1, ok, f"all 16 pairs sit once in the class of their exact xor in {dt:.3f}s")
 
 
 def test_criterion_02_average_phase_penalty():

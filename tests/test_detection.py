@@ -6,15 +6,15 @@ from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp  # oracle of the numpy kernel
 
 from pncsync.detection import build_hypotheses, logsumexp, ml_xor_bits, threshold_bits
-from pncsync.mapping import ALL_BIT_PAIRS, BitPair, qpsk_modulate
+from pncsync.mapping import qpsk_modulate
 from pncsync import analysis
 from oracles import (hypotheses_by_enumeration, min_interclass_distance_sq, ml_class_scores,
                      ml_classes)
 
 
-def ml_pair(sample, hyp, noise_var) -> BitPair:
-    """ML xor decision for one complex sample, as a bit pair."""
-    return BitPair(*ml_xor_bits(sample, hyp, noise_var)[0].tolist())
+def ml_pair(sample, hyp, noise_var) -> tuple:
+    """ML xor decision for one complex sample, as a bit pair (x_i, x_q)."""
+    return tuple(ml_xor_bits(sample, hyp, noise_var)[0].tolist())
 
 
 # the offsets where the constellation degenerates or the folded range ends
@@ -95,11 +95,11 @@ def test_threshold_with_a_scale_per_frame_is_the_per_frame_calls():
 
 def test_ml_known_decisions():
     hyp = build_hypotheses(0.0)
-    assert ml_pair(2.0 + 0.0j, hyp, 0.25) == BitPair(0, 1)
+    assert ml_pair(2.0 + 0.0j, hyp, 0.25) == (0, 1)
     # likelihood concentration: observation placed on a constellation point
     hyp8 = build_hypotheses(math.pi / 8)
     p = hyp8[2][1]
-    assert ml_pair(p, hyp8, 1e-4) == BitPair(1, 0)
+    assert ml_pair(p, hyp8, 1e-4) == (1, 0)
 
 
 def test_ml_matches_threshold_at_zero_offset():
@@ -122,7 +122,7 @@ def test_ml_zero_variance_falls_back_to_nearest_point():
     hyp = build_hypotheses(0.1)
     for c in range(4):
         for p in hyp[c]:
-            assert ml_pair(p, hyp, 0.0) == BitPair(c >> 1, c & 1)
+            assert ml_pair(p, hyp, 0.0) == (c >> 1, c & 1)
 
 
 def test_ml_rejects_a_negative_or_nan_variance():
@@ -210,12 +210,10 @@ def test_ml_bits_are_the_full_score_argmax_at_huge_scores(theta, scale):
 def test_noiseless_correctness_over_theta_grid():
     for theta in np.linspace(-math.pi / 4, math.pi / 4, 21)[:-1]:
         hyp = build_hypotheses(float(theta))
-        for b1 in ALL_BIT_PAIRS:
-            for b3 in ALL_BIT_PAIRS:
-                s1 = qpsk_modulate(b1).as_complex()
-                s3 = qpsk_modulate(b3).as_complex()
-                r = s1 + s3 * np.exp(1j * theta)
-                assert ml_pair(r, hyp, 1e-6) == b1 ^ b3
+        for b1 in range(4):
+            for b3 in range(4):
+                r = qpsk_modulate(b1) + qpsk_modulate(b3) * np.exp(1j * theta)
+                assert ml_pair(r, hyp, 1e-6) == ((b1 ^ b3) >> 1, (b1 ^ b3) & 1)
 
 
 def test_min_distance_matches_closed_form():
@@ -232,7 +230,7 @@ def test_ml_tie_breaks_lexicographically():
     hyp = build_hypotheses(0.0)
     a = ml_pair(0j, hyp, 0.5)
     b = ml_pair(0j, hyp, 0.5)
-    assert a == b == BitPair(1, 1)
+    assert a == b == (1, 1)
 
 
 @given(st.floats(-math.pi / 4, math.pi / 4, exclude_max=True),

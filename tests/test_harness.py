@@ -123,6 +123,24 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg2.master_seed == 7
 
 
+def test_config_file_reads_back_every_field(tmp_path):
+    # every field away from its default, so a field whose annotation has no
+    # parser, or that the file cannot set, fails here
+    cfg = ExperimentConfig(command="mi", scenario="time_unsync", snr_grid_db=(1.5, 3.0),
+                           offset_range=0.25, samples_per_point=5000, rolloff=0.35,
+                           truncation=8, master_seed=7, workers=3, output_path="out/mi.csv",
+                           frame_length=200, chain_nodes=6, chain_bg_time=0.5,
+                           chain_period=50.0, chain_local_errors=(0.2, 0.01, 0.002),
+                           chain_halved=True)
+    default = ExperimentConfig()
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(f"{f.name} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                         for f in fields(cfg) for v in [getattr(cfg, f.name)]),
+                 encoding="utf-8")
+    assert config_from_file(p) == cfg
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("no_such_key = 1\n", encoding="utf-8")
@@ -613,8 +631,11 @@ def test_cli_bad_grid_exits_2_with_one_line(capsys):
      "local_errors must be >= 0, got (-0.1, 0.02, -0.001)"),
     ("ber --snr-grid= --samples 1000", "snr_grid_db must be non-empty"),
     ("chain --errors=", "local_errors must be a triple"),
+    # checked before the run, which would otherwise spend its whole budget first
+    ("penalty --out nodir/x.csv", "output path 'nodir/x.csv': 'nodir' is not a directory"),
+    ("chain --out .", "output path '.' is a directory"),
 ], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed",
-        "errors_negative", "grid_empty", "errors_empty"])
+        "errors_negative", "grid_empty", "errors_empty", "out_missing_dir", "out_is_dir"])
 def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
     assert cli_usage_error(argv.split(), capsys) == f"pnc {argv.split()[0]}: error: {message}"
 

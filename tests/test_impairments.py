@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import math
 import sys
@@ -15,11 +16,10 @@ from pncsync.impairments import (
     isi_taps,
     mid_offset_frame,
     raised_cosine,
-    superpose_phase_offset,
     superposed_frames,
     time_offset_frames,
 )
-from pncsync.mapping import BitPair, SuperposedLevel, pnc_xor_of_levels
+from oracles import pnc_xor_of_levels
 
 QPSK = [complex(a, b) for a in (-1, 1) for b in (-1, 1)]
 
@@ -80,16 +80,17 @@ def test_fold_phase_range_next_to_every_quadrant_edge():
 def test_detection_equivalence_under_folding(theta, s1, s3):
     # rotating s3 by the folded-out quadrants reproduces the raw superposition
     folded, k = fold_phase(theta)
-    raw = superpose_phase_offset(s1, s3, theta)
-    red = superpose_phase_offset(s1, s3 * 1j ** k, folded)
+    raw = s1 + s3 * cmath.exp(1j * theta)
+    red = s1 + s3 * 1j ** k * cmath.exp(1j * folded)
     assert abs(raw - red) < 1e-12
 
 
 def test_superpose_known_values():
-    assert superpose_phase_offset(1 + 1j, 1 + 1j, 0.0) == 2 + 2j
-    assert superpose_phase_offset(1 + 1j, -1 - 1j, 0.0) == 0
-    val = superpose_phase_offset(1 + 1j, 1 + 1j, math.pi / 4)
-    assert val == pytest.approx(1 + 1j * (1 + math.sqrt(2)), abs=1e-12)
+    # pair j of class c is (s1, s3) = (j, j ^ c) in the class-major layout
+    assert build_hypotheses(0.0)[0, 3] == 2 + 2j  # (1+j) + (1+j)
+    assert build_hypotheses(0.0)[3, 3] == 0       # (1+j) + (-1-j)
+    val = build_hypotheses(-math.pi / 4)[0, 3]    # (1+j) + (1+j) e^{-j pi/4}
+    assert val == pytest.approx((1 + math.sqrt(2)) + 1j, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +349,11 @@ PULSE = PulseShape(0.5, 16)
 
 
 def test_superposition_rows_are_the_one_offset_calls_bit_for_bit():
-    sym = np.array(QPSK)
     thetas = (0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.0), 0.3, -1e-300, 5e-324)
-    rows = superpose_phase_offset(sym[:, None], sym[None, :], thetas)
+    rows = build_hypotheses(thetas)
     assert rows.shape == (len(thetas), 4, 4)
     for row, theta in zip(rows, thetas):
-        want = superpose_phase_offset(sym[:, None], sym[None, :], theta)
+        want = build_hypotheses(theta)
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), theta
 
 
@@ -423,9 +423,7 @@ def test_noiseless_frames_carry_the_true_xor():
     # theta = 0: levels {-2, 0, 2} per dimension, demapped by the relay rule
     r, bits = superposed_frames(build_hypotheses((0.0,)), 400, 0.0, np.random.default_rng(63))
     for v, (bi, bq) in zip(r[0], bits[0]):
-        level = SuperposedLevel(int(v.real), int(v.imag))
-        assert complex(level.i_level, level.q_level) == v
-        assert pnc_xor_of_levels(level) == BitPair(int(bi), int(bq))
+        assert pnc_xor_of_levels(v) == (bi, bq)
     # dt = 0: levels {-1, 0, 1}, and level 0 exactly where the trains differ
     _, rt, xt = time_offset_frames(2, 2, 400, 0.0, PULSE, 0.0, np.random.default_rng(64))
     levels = np.rint(rt)

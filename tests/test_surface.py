@@ -15,8 +15,6 @@ import pncsync
 from pncsync.cli import main
 
 KEPT = {
-    "mapping.superpose_symbols": "the paper's PNC mapping table, checked by criterion 01",
-    "mapping.pnc_xor_of_levels": "the paper's PNC mapping table, checked by criterion 01",
     "chain.effective_detection_errors":
         "tests/test_acceptance.py::test_criterion_10_chain_arithmetic checks it",
 }
