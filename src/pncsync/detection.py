@@ -19,8 +19,10 @@ only the other symbols (a few percent at the SNRs of the BER curves) get
 the full scores, with the same first-maximum tie rule.  The decisions
 are therefore those of the full-score argmax, bit for bit.
 
-`logsumexp` is the one log-domain mixture kernel of the package; the
-mutual-information estimators use it too.
+`logsumexp` is the ML detector's kernel.  The mutual-information
+estimators score their mixtures with a kernel of their own
+(`mutual_info._log_mixture`), which shifts each mixture by its nearest
+point.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Test-only references: the paper's relay demap table and the scalar
 enumeration of the 16 superposed points, the full ML class scores, the
 brute-force minimum distance (criterion 09), the 2^8 sign patterns of the
-time-offset MI's window ISI, the 2-D grid integrals of the phase-offset MI
+time-offset MI's window ISI, the max-shifted log-sum-exp densities and
+estimator of the MI kernels, the 2-D grid integrals of the phase-offset MI
 and ML BER, the characteristic-function inversion of the time-offset BER,
 and the horizontal SNR gaps read off BER and MI curves (criteria 07 and 08)."""
 
@@ -123,6 +124,60 @@ def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
         w = lik[c] > 0
         total += 0.25 * float(np.sum(lik[c][w] * np.log2(lik[c][w] / mix[w]))) * du * du
     return 0.5 * total
+
+
+def class_log_densities_by_logsumexp(r, points, noise_var) -> np.ndarray:
+    """log sum_j exp(-|r - p_cj|^2 / (2 sigma^2)) per xor class, shape (4, n).
+
+    points is one (4, 4) constellation of `build_hypotheses`.  The
+    per-class log-densities of `mutual_info.mi_given_theta` up to the common
+    constant log(4 * 2 pi sigma^2), as the estimator formed them with the
+    max-shifted `detection.logsumexp` before its kernel was rewritten.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=complex))
+    e = -np.abs(r[None, :] - points.reshape(-1, 1)) ** 2 / (2.0 * noise_var)
+    return logsumexp(e.reshape(NUM_CLASSES, PAIRS_PER_CLASS, r.size), axis=1)
+
+
+def time_log_densities_by_logsumexp(r, level, atoms, log_w, veff):
+    """(log p(r | xor 0), log p(r | xor 1)) of the time-offset MI, per sample.
+
+    Bit 0 sits at the levels +-level and bit 1 at 0, each spread by the
+    ISI atoms (log-weights log_w, normalized by their total) and
+    N(0, veff): the densities as `mutual_info.mi_time_unsync` formed them
+    with the max-shifted `detection.logsumexp` before its kernel was
+    rewritten.
+    """
+    d = np.asarray(r, dtype=float)[:, None] - atoms[None, :]
+    e0 = np.concatenate([log_w - (d - lv) ** 2 / (2 * veff) for lv in (level, -level)], axis=1)
+    e1 = log_w - d ** 2 / (2 * veff)
+    log_patterns = math.log(float(np.sum(np.exp(log_w))))
+    return (logsumexp(e0, axis=1) - math.log(2.0) - log_patterns,
+            logsumexp(e1, axis=1) - log_patterns)
+
+
+def mi_given_theta_by_logsumexp(snr_db, theta, num_samples, rng, chunk=1 << 16):
+    """`mutual_info.mi_given_theta` as it was before its kernel was rewritten.
+
+    Per chunk of at most `chunk` samples it draws the pair indices, the I
+    noise and the Q noise, then averages log2 p(r | x) / p(r), both
+    densities by `detection.logsumexp` (over a class's 4 exponents and
+    over all 16): the reference for the new kernel's values and for its
+    draw order.
+    """
+    pts = build_hypotheses(theta)
+    s2 = 10.0 ** (-snr_db / 10.0)
+    total = 0.0
+    for start in range(0, num_samples, chunk):
+        n = min(chunk, num_samples - start)
+        idx = rng.integers(0, 16, n)
+        r = pts.reshape(-1)[idx] + math.sqrt(s2) * (rng.standard_normal(n)
+                                                   + 1j * rng.standard_normal(n))
+        e = -np.abs(r[None, :] - pts.reshape(-1, 1)) ** 2 / (2.0 * s2)
+        num = logsumexp(e.reshape(NUM_CLASSES, PAIRS_PER_CLASS, n), axis=1)[idx >> 2,
+                                                                           np.arange(n)]
+        total += float(np.sum(num - logsumexp(e, axis=0))) / math.log(2.0) + 2.0 * n
+    return 0.5 * total / num_samples
 
 
 _WRONG_BITS = np.array([0, 1, 1, 2])  # popcount of the xor of two class indices
