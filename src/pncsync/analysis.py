@@ -107,31 +107,29 @@ def isi_variance(dt_frac, ctx: SinrContext):
     (unit tap amplitudes; any common amplitude scaling cancels in the SINR
     ratio).
 
-    dt_frac is a scalar (returns a float) or a 1-D array of offsets
-    (returns an array), evaluated _GRID_BLOCK offsets at a time so the tap
-    grid stays small.  Each row is summed on its own with np.add.reduce:
-    a 1-D reduce adds pairwise, while np.sum(axis=1) over the block adds
-    in another order and moves the last bit of many rows.  So an array
-    call gives, element by element, the bits of the scalar call.
+    dt_frac is a 1-D array of offsets, evaluated _GRID_BLOCK offsets at a
+    time so the tap grid stays small.  Each row is summed on its own with
+    np.add.reduce: a 1-D reduce adds pairwise, while np.sum(axis=1) over
+    the block adds in another order and moves the last bit of many rows.
+    So each element has the bits of its one-offset call.
     """
     dt = np.asarray(dt_frac, dtype=float)
     bad = dt[np.abs(dt) > 0.5]
     if bad.size:
-        raise ValueError(f"|dt_frac| must be <= 0.5, got {bad.flat[0]}")
+        raise ValueError(f"|dt_frac| must be <= 0.5, got {bad[0]}")
     pulse = ctx.pulse()
-    flat = np.atleast_1d(dt)
-    out = np.empty(flat.shape)
-    for start in range(0, len(flat), _GRID_BLOCK):
-        lags, te, tl = _mid_offset_taps(flat[start:start + _GRID_BLOCK], pulse)
+    out = np.empty(dt.shape)
+    for start in range(0, len(dt), _GRID_BLOCK):
+        lags, te, tl = _mid_offset_taps(dt[start:start + _GRID_BLOCK], pulse)
         tails = lags != 0
         for i, (early, late) in enumerate(zip(te[:, tails] ** 2, tl[:, tails] ** 2),
                                           start):
             out[i] = np.add.reduce(early) + np.add.reduce(late)
-    return float(out[0]) if dt.ndim == 0 else out
+    return out
 
 
 def sinr_linear(dt_frac, ctx: SinrContext):
-    """Linear SINR p(dt/2)^2 / (isi_variance + noise_var); scalar or 1-D array dt."""
+    """Linear SINR p(dt/2)^2 / (isi_variance + noise_var) of a 1-D array of offsets."""
     p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
     return p * p / (isi_variance(dt_frac, ctx) + ctx.noise_var())
 
@@ -139,18 +137,16 @@ def sinr_linear(dt_frac, ctx: SinrContext):
 def sinr_penalty_db(dt_frac, ctx: SinrContext):
     """SINR penalty vs the reference SNR: signal loss plus ISI noise raise.
 
-    Takes a scalar (returns a float) or a 1-D array of offsets (returns an
-    array).  The logarithms are math.log10 per element, not np.log10,
-    whose SIMD kernel differs from the C library's in the last bit of
-    some values; so an array call matches the scalar call bit for bit.
+    Takes a 1-D array of offsets.  The logarithms are math.log10 per
+    element, not np.log10, whose SIMD kernel differs from the C library's
+    in the last bit of some values; so each element has the bits of its
+    one-offset call.
     """
     p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
-    s_isi = isi_variance(dt_frac, ctx)
     s_n = ctx.noise_var()
-    signal = np.atleast_1d(p * p).tolist()
-    raise_ = np.atleast_1d((s_isi + s_n) / s_n).tolist()
-    vals = [10.0 * math.log10(a) - 10.0 * math.log10(b) for a, b in zip(signal, raise_)]
-    return vals[0] if np.ndim(dt_frac) == 0 else np.array(vals)
+    raise_ = (isi_variance(dt_frac, ctx) + s_n) / s_n
+    return np.array([10.0 * math.log10(a) - 10.0 * math.log10(b)
+                     for a, b in zip((p * p).tolist(), raise_.tolist())])
 
 
 def avg_sinr_penalty_db(ctx: SinrContext) -> float:

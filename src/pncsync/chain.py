@@ -70,7 +70,7 @@ class ChainPlan:
     td: float              # data-phase duration, period - ts
     overhead: float        # ts / period
     accumulated_errors: tuple
-    local_errors: tuple
+    local_errors: tuple    # what every relay detects under, whatever N
     ts_halved: float | None = None  # optional combined-sub-phase estimate, ~ts/2
 
 
@@ -124,20 +124,6 @@ def make_plan(cfg: ChainConfig, halved_sync: bool = False) -> ChainPlan:
         local_errors=tuple(cfg.local_errors),
         ts_halved=ts / 2 if halved_sync else None,
     )
-
-
-def effective_detection_errors(plan: ChainPlan, relay_node: int) -> tuple:
-    """Error triple governing detection at one relay: always the local triple.
-
-    A relay receives simultaneously only from its two adjacent nodes, so
-    the accumulated end-to-end errors are immaterial; only odd nodes
-    transmit in the PNC phase, so an odd id is rejected.
-    """
-    if relay_node % 2 != 0:
-        raise ValueError(f"relay must be an even node, got {relay_node}")
-    if not 2 <= relay_node <= plan.num_nodes:
-        raise ValueError(f"relay {relay_node} outside chain 1..{plan.num_nodes}")
-    return plan.local_errors
 
 
 def serialize_plan(plan: ChainPlan) -> str:

@@ -1,4 +1,6 @@
-"""Relay-side detectors for the xor of the two source symbols.
+"""Relay-side detectors for the xor of the two source symbols, and
+`_log_mixture`, the Gaussian-mixture kernel of ML detection and of the
+mutual-information estimators (`mutual_info`).
 
 Perfect sync and time-offset scenarios use the per-dimension midpoint
 threshold rule.  The phase-offset scenario uses ML detection of the xor
@@ -6,23 +8,19 @@ class over the 16-point superposed constellation: the four generating
 pairs of each class form a Gaussian mixture, and the exact per-class
 likelihood (sum over the four points, not max-log) is maximized.
 
-The ML detector screens before it sums.  `logsumexp` of the four
-exponents of a class returns max + log1p(s/m) + log(m) with s/m <= 3,
-so its computed score lies in [lo, lo + log 4 + rounding], lo being the
-class's largest exponent.  The lower end is exact: log1p and log of
-arguments >= 0 and 1 are >= 0, and adding a non-negative number to lo
-never rounds below lo.  The upper end allows 1e-9 + 2^-50 (|lo| + 2),
-which covers the few ulp of log1p(s/m) + log(m) and the half ulp of the
-final add at any |lo|.  Where one class's lo exceeds every other class's
-upper end, its score is strictly the largest and it is the decision;
-only the other symbols (a few percent at the SNRs of the BER curves) get
-the full scores, with the same first-maximum tie rule.  The decisions
-are therefore those of the full-score argmax, bit for bit.
-
-`logsumexp` is the ML detector's kernel.  The mutual-information
-estimators score their mixtures with a kernel of their own
-(`mutual_info._log_mixture`), which shifts each mixture by its nearest
-point.
+The ML detector screens before it sums.  A class score is `_log_mixture`
+of the class's four negated exponents at scale 1.  Negation and scale 1
+are exact, so the kernel's nearest shift is lo, the class's largest
+exponent, to the bit, and the score is fl(log S + lo) with S, the sum of
+exp(a - lo) over the four points, in [1, 4].  The score therefore lies
+in [lo, lo + log 4 + rounding].  The lower end is exact: log S >= 0, and
+adding a non-negative number to lo never rounds below lo.  The upper end
+allows 1e-9 + 2^-50 (|lo| + 2), which covers the few ulp of log S and
+the half ulp of the final add at any |lo|.  Where one class's lo exceeds
+every other class's upper end, its score is strictly the largest and it
+is the decision; only the other symbols (a few percent at the SNRs of
+the BER curves) get the full scores, with the same first-maximum tie
+rule.  The decisions are therefore those of the full-score argmax.
 """
 
 from __future__ import annotations
@@ -39,56 +37,45 @@ PAIRS_PER_CLASS = 4
 _CHUNK = 4096  # symbols per block of ml_xor_bits
 # log 4 + 1e-9 + 2^-50 * 2: a class score's upper end above lo, bar 2^-50 |lo|
 _SCORE_SLACK = math.log(4.0) + 1e-9 + 2.0 ** -49
+_PAIR_W = np.ones(PAIRS_PER_CLASS)  # the four equally likely pairs of an xor class
 
 
-def build_hypotheses(theta) -> np.ndarray:
-    """The 16 superposed points s1 + s3*e^{j*theta}, grouped by xor class.
+def build_hypotheses(thetas: tuple) -> np.ndarray:
+    """The 16 superposed points s1 + s3*e^{j*theta} of each offset, grouped by xor class.
 
-    The read-only (4, 4) array is the class-major layout of `mapping`:
-    entry (c, j) is the point of pair j of xor class c.  theta must
-    already be folded into [-pi/4, pi/4).  A tuple of F offsets gives an
-    (F, 4, 4) array, one constellation per offset; e^{j*theta} comes from
-    cmath either way, so each has the bits of its one-offset call.
+    thetas is a tuple of F offsets, each already folded into
+    [-pi/4, pi/4).  Returns a read-only (F, 4, 4) array, one constellation
+    per offset in the class-major layout of `mapping`: entry (f, c, j) is
+    the point of pair j of xor class c.  e^{j*theta} comes from cmath, so
+    each constellation has the bits of its one-offset call.
     """
-    thetas = theta if isinstance(theta, tuple) else (theta,)
     for t in thetas:
         if not -math.pi / 4 <= t < math.pi / 4:
             raise ValueError(f"theta must be folded into [-pi/4, pi/4), got {t}")
     sym = np.array([qpsk_modulate(pair) for pair in range(4)])
-    if isinstance(theta, tuple):
-        rot = np.array([cmath.exp(1j * t) for t in thetas]).reshape(-1, 1, 1)
-    else:
-        rot = cmath.exp(1j * theta)
+    rot = np.array([cmath.exp(1j * t) for t in thetas]).reshape(-1, 1, 1)
     pts = sym[S1] + sym[S3] * rot
     pts.setflags(write=False)
     return pts
 
 
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along one axis, shifted by the maximum.
+def _log_mixture(d2, weights, scale, out=None):
+    """log sum_k weights_k exp(-scale d2_k) along axis -2 of squared distances d2.
 
-    The max-shifted log1p form of Blanchard, Higham & Higham, "Accurately
-    computing the log-sum-exp and softmax functions" (IMA J. Numer. Anal.
-    2021): the m terms equal to the maximum leave the sum, the rest are
-    summed as s, and the result is log1p(s/m) + log(m) + max.  The
-    operations and their order are those of scipy.special.logsumexp
-    (scipy 1.17) without weights, so the outputs agree bit for bit.
-
-    Precondition: real floating input with a finite maximum in every row
-    along axis (no NaN, no row that is all -inf).
+    The one Gaussian-mixture kernel of the package.  Overwrites d2.  Each
+    column is shifted by its nearest point, whose term is exp(0) = 1, so
+    the sum is at least the smallest weight (>= 1) at any scale; the
+    weighted sum adds the points in order, so a column has the same bits
+    whatever block it falls in.
     """
-    amax = a.max(axis=axis, keepdims=True)
-    top = a == amax
-    m = top.sum(axis=axis, keepdims=True, dtype=a.dtype)
-    e = np.where(top, -np.inf, a)
-    e -= amax
-    np.exp(e, out=e)
-    s = e.sum(axis=axis, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    out = np.log1p(s)
-    out += np.log(m)
-    out += amax
-    return out.squeeze(axis)
+    near = d2.min(axis=-2)
+    d2 -= near[..., None, :]
+    d2 *= -scale
+    np.exp(d2, out=d2)
+    out = np.log(np.einsum("k,...kb->...b", weights, d2), out=out)
+    near *= scale
+    out -= near
+    return out
 
 
 def threshold_bits(samples, scale) -> np.ndarray:
@@ -107,11 +94,12 @@ def threshold_bits(samples, scale) -> np.ndarray:
 def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """ML xor decision for an array of complex samples; returns (N, 2) bits.
 
-    points is one (4, 4) constellation of `build_hypotheses`, or an
-    (F, 4, 4) stack of them for F equal frames of the N samples (frame f
-    holds samples f*N/F to (f+1)*N/F - 1).  Picks the first class
+    points is the (F, 4, 4) array of `build_hypotheses`, one
+    constellation for each of F equal frames of the N samples (frame f
+    holds samples f*N/F to (f+1)*N/F - 1); one (4, 4) constellation of
+    it is one frame.  Picks the first class
     (lexicographic in (x_i, x_q)) among the maxima of the exact class
-    scores logsumexp_j(a[c, j]), a = -|r - p_cj|^2 / (2 sigma^2), and
+    scores log sum_j exp(a[c, j]), a = -|r - p_cj|^2 / (2 sigma^2), and
     computes those scores only where the largest exponent per class,
     lo_c, leaves the decision open.  See the module docstring for why
     the screen is exact.  noise_var == 0 is the nearest-point rule.
@@ -148,5 +136,6 @@ def _ml_frames(r, points, noise_var):
     bits = np.stack([rival[2] | rival[3], rival[1] | rival[3]], axis=1).view(np.int8)
     undecided = np.flatnonzero(rival.sum(axis=0) > 1)
     if undecided.size:
-        bits[undecided] = CLASS_BITS[logsumexp(a[:, :, undecided], axis=1).argmax(axis=0)]
+        scores = _log_mixture(-a[:, :, undecided], _PAIR_W, 1.0)  # lo exactly as its shift
+        bits[undecided] = CLASS_BITS[scores.argmax(axis=0)]
     return bits

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -49,6 +50,7 @@ COMMANDS = ("ber", "mi", "penalty", "chain")
 # |SNR| bound of ber and mi: noise variance 1e-30 to 1e30; at a few thousand
 # dB, 10^(-snr/10) under- or overflows and the estimators fail
 MAX_ABS_SNR_DB = 300.0
+_MAX_GRID_POINTS = 10_000  # points of an SNR range
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,12 @@ class MiEstimate:
 # config files: flat "key = value" lines, '#' comments
 
 
+_KINDS = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+
+
 def parse_config_file(path) -> dict:
     """Read a flat key-value config document into a dict of typed values."""
     out = {}
-    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -167,10 +171,10 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in kinds:
+            if key not in _KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _parse_value(kinds[key], val.strip())
+                out[key] = parse_value(key, val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
@@ -181,8 +185,11 @@ def parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _parse_value(kind: str, text: str):
-    """A value of a field annotated kind: 'int', 'float', 'str', 'tuple' or 'bool'."""
+def parse_value(name: str, text: str):
+    """Config field `name` from its text, alike in a file and a flag, by its annotation."""
+    if name == "snr_grid_db":
+        return _parse_grid(text)
+    kind = _KINDS[name]
     if kind == "tuple":
         return parse_floats(text)
     if kind == "bool":
@@ -190,6 +197,43 @@ def _parse_value(kind: str, text: str):
             raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
         return text.lower() in ("1", "true", "yes", "on")
     return {"int": int, "float": float, "str": str}[kind](text)
+
+
+def _parse_grid(text: str) -> tuple:
+    """SNR grid as 'start:stop[:step]' (default step 1) or a list of floats.
+
+    A range holds start + i*step for every i that stays at or below stop.
+    Points are computed in decimal and rounded once, so '0:1:0.3' gives
+    0.9, not 0.8999999999999999.  A range must give at most
+    _MAX_GRID_POINTS strictly increasing finite floats in [start, stop].
+    """
+    if ":" not in text:
+        return parse_floats(text)
+    parts = text.split(":")
+    if len(parts) == 2:
+        parts.append("1")
+    try:
+        start, stop, step = (Decimal(v) for v in parts)
+    except (InvalidOperation, ValueError):
+        raise ValueError(f"snr grid {text!r}: expected 'start:stop[:step]'") from None
+    if not (start.is_finite() and stop.is_finite() and step.is_finite()):
+        problem = "values must be finite"
+    elif step <= 0:
+        problem = "step must be positive"
+    elif stop < start:
+        problem = "stop is below start"
+    else:
+        try:
+            n = min(int((stop - start) // step) + 1, _MAX_GRID_POINTS + 1)
+            grid = tuple(float(start + i * step) for i in range(n))
+        except ArithmeticError:  # beyond the decimal context's precision or exponent range
+            grid = ()
+        lo, hi = float(start), float(stop)
+        if 0 < len(grid) <= _MAX_GRID_POINTS and all(b > a for a, b in zip(grid, grid[1:])) \
+                and all(math.isfinite(g) and lo <= g <= hi for g in grid):
+            return grid
+        problem = f"points must be 1 to {_MAX_GRID_POINTS} distinct finite floats"
+    raise ValueError(f"snr grid {text!r}: {problem}")
 
 
 def config_from_file(path, **overrides) -> ExperimentConfig:

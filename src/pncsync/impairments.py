@@ -67,15 +67,12 @@ def raised_cosine(t, rolloff: float = 0.5):
 
     t is in symbol periods.  Normalized so p(0) = 1; p(k) = 0 for nonzero
     integer k.  The removable singularities at t = 0 and |t| = 1/(2b) are
-    evaluated by their limits when t falls within 1e-9 of them.  Accepts
-    scalars or arrays.
+    evaluated by their limits when t falls within 1e-9 of them.  t is an
+    array, evaluated elementwise.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must be in [0, 1], got {rolloff}")
     x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
     ax = np.abs(x)
     zero = ax < _SING_TOL
     if rolloff > 0.0:
@@ -92,7 +89,7 @@ def raised_cosine(t, rolloff: float = 0.5):
     else:
         # elementwise, so the same bits as evaluating the entries one by one
         out = _raised_cosine_formula(x, rolloff)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _raised_cosine_formula(x, rolloff: float):
@@ -102,10 +99,10 @@ def _raised_cosine_formula(x, rolloff: float):
 
 
 def _mid_offset_taps(dt_frac, pulse: PulseShape):
-    """`isi_taps` for a scalar or a 1-D array of offsets (one row of taps per offset).
+    """`isi_taps` for a 1-D array of offsets (one row of taps per offset).
 
-    Broadcasts `lags + dt/2` to shape dt.shape + (2L+1,) and evaluates the
-    pulse elementwise, so each row is bit-identical to the scalar taps.
+    Broadcasts `lags + dt/2` to shape (len(dt), 2L+1) and evaluates the
+    pulse elementwise, so each row has the bits of its one-offset call.
     The pulse is even bit for bit, so the late taps p(lags - dt/2) are the
     early taps reversed along the lag axis: a view of the same read-only
     array.
@@ -119,24 +116,23 @@ def _mid_offset_taps(dt_frac, pulse: PulseShape):
 
 
 def isi_taps(dt_frac, pulse: PulseShape):
-    """Pulse taps seen by the mid-offset sampler, one vector per train.
+    """Pulse taps seen by the mid-offset sampler, one row per offset and train.
 
-    dt_frac is one time offset in symbol periods, or a tuple of offsets
-    for one row of taps per offset, each the bits of its one-offset call.
-    An array is refused (as float() refuses it): the benchmark's tracer
-    keys these calls by their hashable arguments, and the analysis takes
-    its offset grids through `_mid_offset_taps`.
-    Returns (lags, taps_early, taps_late) where lags = -L..L and the
-    sample of symbol k picks up
-    a_early[k-j]*taps_early[j] + a_late[k-j]*taps_late[j].  The early
-    train is shifted +dt/2 from the sampling comb, the late train -dt/2,
-    so the centre taps taps_early[L] = taps_late[L] = p(dt/2) carry the
-    desired symbols and, the pulse being even, taps_late is taps_early
-    reversed (a read-only view of it).
+    dt_frac is a tuple of F time offsets in symbol periods; each row of
+    taps has the bits of its one-offset call.  Anything else is refused:
+    the benchmark's tracer keys these calls by their hashable arguments,
+    and the analysis takes its offset grids through `_mid_offset_taps`.
+    Returns (lags, taps_early, taps_late) where lags = -L..L, the taps
+    are (F, 2L+1), and the sample of symbol k of frame f picks up
+    a_early[k-j]*taps_early[f, j] + a_late[k-j]*taps_late[f, j].  The
+    early train is shifted +dt/2 from the sampling comb, the late train
+    -dt/2, so the centre taps taps_early[:, L] = taps_late[:, L] = p(dt/2)
+    carry the desired symbols and, the pulse being even, taps_late is
+    taps_early reversed (a read-only view of it).
     """
-    if isinstance(dt_frac, tuple):
-        return _mid_offset_taps(np.array(dt_frac, dtype=float), pulse)
-    return _mid_offset_taps(float(dt_frac), pulse)
+    if not isinstance(dt_frac, tuple):
+        raise TypeError(f"dt_frac must be a tuple of offsets, got {type(dt_frac).__name__}")
+    return _mid_offset_taps(np.array(dt_frac, dtype=float), pulse)
 
 
 def mid_offset_frame(a1, a3, taps_early, taps_late) -> np.ndarray:

@@ -8,12 +8,12 @@ binary xor information is computed directly from the scalar mid-offset
 sample, the nearest neighbors' ISI marginalized as 81 distinct values
 weighted by multiplicity.
 
-Every Gaussian mixture is scored the same way: shift its squared
-distances by their minimum (the nearest point), take one exp and one
-weighted sum, whose nearest term is exp(0) = 1, so the log of the sum
-never meets 0 or an overflow at any SNR.  The work runs in blocks of a
-few hundred to a few thousand samples through one reused buffer, so
-memory stays bounded whatever the budget; the draws keep their order.
+Every Gaussian mixture is scored by `detection._log_mixture`, the
+kernel of the ML detector too, which shifts it by its nearest point so
+its log never meets 0 or an overflow at any SNR.  The work runs in
+blocks of a few hundred to a few thousand samples through one reused
+buffer, so memory stays bounded whatever the budget; the draws keep
+their order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .detection import build_hypotheses
+from .detection import _PAIR_W, _log_mixture, build_hypotheses
 from .impairments import PulseShape, time_offset_frames
 
 PHASE_GRID_POINTS = 20
@@ -40,7 +40,6 @@ _WINDOW_LAGS = np.r_[-_ENUM_WINDOW:0, 1:_ENUM_WINDOW + 1]
 _ISI_COEF = np.indices((3,) * 2 * _ENUM_WINDOW).reshape(2 * _ENUM_WINDOW, -1).T - 1.0
 # how many of the 2^(4 * _ENUM_WINDOW) equally likely sign patterns give each row
 _ISI_W = 2.0 ** np.count_nonzero(_ISI_COEF == 0, axis=1)
-_PAIR_W = np.ones(4)  # the four equally likely pairs of an xor class
 
 
 def mi_given_theta(snr_db: float, theta: float, num_samples: int,
@@ -103,25 +102,6 @@ def _mi_offsets(snr_db, thetas, per, rng):
                 sums[g] += float(np.sum(terms[g])) / _LOG2 + n * 2.0
         totals += [0.5 * s / per for s in sums]
     return totals
-
-
-def _log_mixture(d2, weights, scale, out=None):
-    """log sum_k weights_k exp(-scale d2_k) along axis -2 of squared distances d2.
-
-    The one Gaussian-mixture kernel of both estimators.  Overwrites d2.
-    Each column is shifted by its nearest point, whose term is exp(0) = 1,
-    so the sum is at least the smallest weight (>= 1) at any scale; the
-    weighted sum adds the points in order, so a column has the same bits
-    whatever block it falls in.
-    """
-    near = d2.min(axis=-2)
-    d2 -= near[..., None, :]
-    d2 *= -scale
-    np.exp(d2, out=d2)
-    out = np.log(np.einsum("k,...kb->...b", weights, d2), out=out)
-    near *= scale
-    out -= near
-    return out
 
 
 def _class_log_densities(re, im, pts, scale, buf):

@@ -11,9 +11,9 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
-from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses, logsumexp
+from pncsync.detection import NUM_CLASSES, PAIRS_PER_CLASS, build_hypotheses
 from pncsync.impairments import isi_taps
 from pncsync.mutual_info import _ENUM_WINDOW
 
@@ -48,7 +48,7 @@ def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray
     """Per-class log-likelihood (up to a common constant) for complex samples.
 
     score[n, c] = logsumexp_j( -|r_n - p_cj|^2 / (2 sigma^2) ), evaluated by
-    `detection.logsumexp`; equal priors over the 16 pairs make the class
+    `scipy.special.logsumexp`; equal priors over the 16 pairs make the class
     prior a common constant.  The first-maximum argmax of these scores is
     the decision `detection.ml_xor_bits` must return.
 
@@ -108,7 +108,7 @@ def isi_atoms_by_enumeration(taps_early, taps_late, lags):
 def quadrature_mi_bits_per_dim(snr_db, theta, ngrid=801, span=6.0):
     """I(X; r)/2 at one phase offset by direct 2-D tensor-grid integration."""
     s2 = 10.0 ** (-snr_db / 10.0)
-    pts = build_hypotheses(theta)
+    pts = build_hypotheses((theta,))[0]
     lim = 2 * math.sqrt(2) + span * math.sqrt(s2)
     u = np.linspace(-lim, lim, ngrid)
     du = u[1] - u[0]
@@ -131,8 +131,9 @@ def class_log_densities_by_logsumexp(r, points, noise_var) -> np.ndarray:
 
     points is one (4, 4) constellation of `build_hypotheses`.  The
     per-class log-densities of `mutual_info.mi_given_theta` up to the common
-    constant log(4 * 2 pi sigma^2), as the estimator formed them with the
-    max-shifted `detection.logsumexp` before its kernel was rewritten.
+    constant log(4 * 2 pi sigma^2), by the max-shifted log-sum-exp
+    (`scipy.special.logsumexp`) the estimator used before its kernel was
+    rewritten.
     """
     r = np.atleast_1d(np.asarray(r, dtype=complex))
     e = -np.abs(r[None, :] - points.reshape(-1, 1)) ** 2 / (2.0 * noise_var)
@@ -145,8 +146,8 @@ def time_log_densities_by_logsumexp(r, level, atoms, log_w, veff):
     Bit 0 sits at the levels +-level and bit 1 at 0, each spread by the
     ISI atoms (log-weights log_w, normalized by their total) and
     N(0, veff): the densities as `mutual_info.mi_time_unsync` formed them
-    with the max-shifted `detection.logsumexp` before its kernel was
-    rewritten.
+    with the max-shifted log-sum-exp (`scipy.special.logsumexp`) before
+    its kernel was rewritten.
     """
     d = np.asarray(r, dtype=float)[:, None] - atoms[None, :]
     e0 = np.concatenate([log_w - (d - lv) ** 2 / (2 * veff) for lv in (level, -level)], axis=1)
@@ -161,11 +162,11 @@ def mi_given_theta_by_logsumexp(snr_db, theta, num_samples, rng, chunk=1 << 16):
 
     Per chunk of at most `chunk` samples it draws the pair indices, the I
     noise and the Q noise, then averages log2 p(r | x) / p(r), both
-    densities by `detection.logsumexp` (over a class's 4 exponents and
+    densities by `scipy.special.logsumexp` (over a class's 4 exponents and
     over all 16): the reference for the new kernel's values and for its
     draw order.
     """
-    pts = build_hypotheses(theta)
+    pts = build_hypotheses((theta,))[0]
     s2 = 10.0 ** (-snr_db / 10.0)
     total = 0.0
     for start in range(0, num_samples, chunk):
@@ -277,8 +278,8 @@ def time_ber(snr_db, half_range, pulse, nodes=16):
     omega = (np.arange(math.ceil(w_max / step)) + 0.5) * step
     L = pulse.truncation_symbols
     p = np.empty(dts.size)
-    for i, dt in enumerate(dts):
-        _, te, tl = isi_taps(float(dt), pulse)
+    _, taps_early, taps_late = isi_taps(tuple(dts.tolist()), pulse)
+    for i, (te, tl) in enumerate(zip(taps_early, taps_late)):
         isi = np.concatenate([np.delete(te, L), np.delete(tl, L)])
         phi = np.exp(-0.5 * (s * omega) ** 2) * np.prod(np.cos(0.5 * np.outer(omega, isi)),
                                                         axis=1)

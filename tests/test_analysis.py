@@ -95,12 +95,12 @@ def test_sir_rejects_divergent_alpha():
 
 
 def test_isi_variance_zero_offset():
-    assert isi_variance(0.0, CTX) == pytest.approx(0.0, abs=1e-24)
+    assert isi_variance(np.array([0.0]), CTX)[0] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_isi_variance_frozen_values():
-    assert isi_variance(0.5, CTX) == pytest.approx(0.17562429102885, abs=1e-12)
-    assert isi_variance(0.2, CTX) == pytest.approx(0.02621805510502, abs=1e-12)
+    got = isi_variance(np.array([0.5, 0.2]), CTX)
+    assert got == pytest.approx([0.17562429102885, 0.02621805510502], abs=1e-12)
 
 
 def test_isi_variance_matches_monte_carlo():
@@ -117,29 +117,30 @@ def test_isi_variance_matches_monte_carlo():
         s1 = rng.integers(0, 2, (block, lags.size)) * 2 - 1
         s3 = rng.integers(0, 2, (block, lags.size)) * 2 - 1
         total += float(np.sum((s1 @ pe + s3 @ pl) ** 2))
-    assert isi_variance(dt, CTX) == pytest.approx(total / n, rel=0.01)
+    assert isi_variance(np.array([dt]), CTX)[0] == pytest.approx(total / n, rel=0.01)
 
 
 @given(st.floats(0.0, 0.5))
 def test_isi_variance_is_even(x):
-    assert isi_variance(-x, CTX) == pytest.approx(isi_variance(x, CTX), abs=1e-15)
+    minus, plus = isi_variance(np.array([-x, x]), CTX)
+    assert minus == pytest.approx(plus, abs=1e-15)
 
 
 def test_sinr_penalty_zero_offset_is_exactly_zero():
-    assert sinr_penalty_db(0.0, CTX) == 0.0
+    assert sinr_penalty_db(np.array([0.0]), CTX)[0] == 0.0
 
 
 def test_sinr_penalty_frozen_values():
     # values follow from the stated formula: signal p(dt/2)^2 against
     # (isi + noise)/noise at snr0 = 10 dB, rolloff 0.5
-    assert sinr_penalty_db(0.5, CTX) == pytest.approx(-5.442391090587, abs=1e-9)
-    assert sinr_penalty_db(0.2, CTX) == pytest.approx(-1.174870361245, abs=1e-9)
+    got = sinr_penalty_db(np.array([0.5, 0.2]), CTX)
+    assert got == pytest.approx([-5.442391090587, -1.174870361245], abs=1e-9)
     assert worst_sinr_penalty_db(CTX) == pytest.approx(-5.442391090587, abs=1e-6)
 
 
 def test_sinr_penalty_is_even():
-    for x in (0.1, 0.25, 0.5):
-        assert sinr_penalty_db(-x, CTX) == pytest.approx(sinr_penalty_db(x, CTX), abs=1e-15)
+    x = np.array([0.1, 0.25, 0.5])
+    assert sinr_penalty_db(-x, CTX) == pytest.approx(sinr_penalty_db(x, CTX), abs=1e-15)
 
 
 def test_avg_sinr_penalty_frozen_value():
@@ -192,23 +193,27 @@ def test_phase_curve_monotone_on_positive_half():
 # ---------------------------------------------------------------------------
 # offset grids as arrays: bit for bit the scalar formulas, one offset at a time
 #
-# The oracles are the scalar loops the grid code replaced: one isi_taps call,
-# two 1-D np.sum calls and math.log10 per offset.
+# The oracles are the scalar loops the grid code replaced: one one-offset
+# isi_taps call, two 1-D np.sum calls and math.log10 per offset.
 
 
 def _oracle_isi_variance(dt, ctx):
-    lags, te, tl = isi_taps(dt, ctx.pulse())
+    lags, te, tl = isi_taps((dt,), ctx.pulse())
     tails = lags != 0
-    return float(np.sum(te[tails] ** 2) + np.sum(tl[tails] ** 2))
+    return float(np.sum(te[0, tails] ** 2) + np.sum(tl[0, tails] ** 2))
+
+
+def _pulse_at(t, rolloff):
+    return float(analysis.raised_cosine(np.array([t]), rolloff)[0])
 
 
 def _oracle_sinr_linear(dt, ctx):
-    p = analysis.raised_cosine(dt / 2, ctx.rolloff)
+    p = _pulse_at(dt / 2, ctx.rolloff)
     return p * p / (_oracle_isi_variance(dt, ctx) + ctx.noise_var())
 
 
 def _oracle_sinr_penalty_db(dt, ctx):
-    p = analysis.raised_cosine(dt / 2, ctx.rolloff)
+    p = _pulse_at(dt / 2, ctx.rolloff)
     s_n = ctx.noise_var()
     return (10.0 * math.log10(p * p)
             - 10.0 * math.log10((_oracle_isi_variance(dt, ctx) + s_n) / s_n))
@@ -252,8 +257,8 @@ def _bits(values):
 
 
 GRIDS = (np.linspace(-0.5, 0.5, 1001), np.linspace(0.0, 0.5, 1001))
-# the array call covers the whole grid; scalar calls (about 0.1 ms each)
-# check every 50th offset, which lands in each block of rows
+# the array call covers the whole grid; the scalar oracle (about 0.1 ms a
+# call) checks every 50th offset, which lands in each block of rows
 CHECKED = list(range(0, 1001, 50))
 ALL_ROLLOFFS = (0.0,) + _bench_rolloffs()
 
@@ -262,10 +267,7 @@ def _assert_grid_matches(fn, oracle, ctx, grid):
     got = fn(grid, ctx)
     assert isinstance(got, np.ndarray) and got.shape == grid.shape
     for i in CHECKED:
-        scalar = fn(grid[i], ctx)
-        assert isinstance(scalar, float)
-        assert _bits(got[i]) == _bits(scalar) == _bits(oracle(grid[i], ctx)), \
-            (fn.__name__, ctx, grid[i])
+        assert _bits(got[i]) == _bits(oracle(float(grid[i]), ctx)), (fn.__name__, ctx, grid[i])
 
 
 @pytest.mark.parametrize("rolloff", ALL_ROLLOFFS)

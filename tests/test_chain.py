@@ -4,7 +4,6 @@ import pytest
 
 from pncsync.chain import (
     ChainConfig,
-    effective_detection_errors,
     make_plan,
     partition_groups,
     serialize_plan,
@@ -104,25 +103,19 @@ def test_infeasible_plan_rejected():
 
 
 def test_effective_errors_independent_of_n_and_relay():
+    # a relay hears only its two neighbours, so every relay of every chain
+    # detects under the local triple: the plan's local_errors and its line
     for n in range(3, 51):
         plan = make_plan(cfg(n))
-        for relay in range(2, n + 1, 2):
-            assert effective_detection_errors(plan, relay) == LOCAL
-
-
-def test_effective_errors_reject_odd_or_outside_nodes():
-    plan = make_plan(cfg(5))
-    with pytest.raises(ValueError):
-        effective_detection_errors(plan, 3)
-    with pytest.raises(ValueError):
-        effective_detection_errors(plan, 8)
+        assert plan.local_errors == LOCAL
+        assert f"local_errors = {LOCAL!r}" in serialize_plan(plan).splitlines()
 
 
 def test_accumulated_grows_linearly_but_local_does_not():
     plans = {n: make_plan(cfg(n)) for n in (3, 11, 101)}
     accs = [plans[n].accumulated_errors[0] for n in (3, 11, 101)]
     assert accs == [0.1, 0.5, 5.0]
-    assert all(effective_detection_errors(plans[n], 2) == LOCAL for n in plans)
+    assert all(plans[n].local_errors == LOCAL for n in plans)
 
 
 def test_serialization_deterministic_and_parsable():

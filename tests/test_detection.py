@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.special import logsumexp as scipy_logsumexp  # oracle of the numpy kernel
+from scipy.special import logsumexp as scipy_logsumexp  # oracle of the mixture kernel
 
-from pncsync.detection import build_hypotheses, logsumexp, ml_xor_bits, threshold_bits
+from pncsync.detection import (_PAIR_W, _SCORE_SLACK, _log_mixture, build_hypotheses,
+                               ml_xor_bits, threshold_bits)
 from pncsync.mapping import qpsk_modulate
+from pncsync.mutual_info import _ISI_W
 from pncsync import analysis
 from oracles import (hypotheses_by_enumeration, min_interclass_distance_sq, ml_class_scores,
                      ml_classes)
+
+
+def hyp_at(theta):
+    """The (4, 4) constellation of one offset."""
+    return build_hypotheses((theta,))[0]
 
 
 def ml_pair(sample, hyp, noise_var) -> tuple:
@@ -23,8 +30,8 @@ THETA_EDGES = st.sampled_from([0.0, -math.pi / 4, math.nextafter(math.pi / 4, 0.
 
 def test_hypotheses_cardinality_any_theta():
     for theta in (-0.7, -0.2, 0.0, 0.3, 0.78):
-        hyp = build_hypotheses(theta)
-        assert hyp.shape == (4, 4) and hyp.dtype == complex
+        hyp = build_hypotheses((theta,))
+        assert hyp.shape == (1, 4, 4) and hyp.dtype == complex
         assert not hyp.flags.writeable
 
 
@@ -35,7 +42,7 @@ def test_hypotheses_cardinality_any_theta():
 @example(5e-324)
 @example(math.nextafter(math.pi / 4, 0.0))
 def test_hypotheses_match_the_scalar_enumeration_bit_for_bit(theta):
-    got = build_hypotheses(theta)
+    got = hyp_at(theta)
     want = hypotheses_by_enumeration(theta)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -46,20 +53,22 @@ def test_hypotheses_of_a_tuple_are_the_one_offset_calls_bit_for_bit(thetas):
     got = build_hypotheses(tuple(thetas))
     assert got.shape == (len(thetas), 4, 4) and not got.flags.writeable
     for row, theta in zip(got, thetas):
-        assert np.array_equal(row.view(np.uint64), build_hypotheses(theta).view(np.uint64))
+        assert np.array_equal(row.view(np.uint64), hyp_at(theta).view(np.uint64))
 
 
 def test_hypotheses_reject_unfolded_theta():
     with pytest.raises(ValueError):
-        build_hypotheses(math.pi / 4)
+        build_hypotheses((math.pi / 4,))
     with pytest.raises(ValueError):
-        build_hypotheses(-math.pi / 2)
+        build_hypotheses((-math.pi / 2,))
     with pytest.raises(ValueError):
         build_hypotheses((0.0, math.pi / 4))
+    with pytest.raises(TypeError):
+        build_hypotheses(0.0)  # a tuple of offsets only
 
 
 def test_hypotheses_at_zero_offset_match_level_lattice():
-    hyp = build_hypotheses(0.0)
+    hyp = hyp_at(0.0)
     # class (0,1): I level +-2, Q level 0
     c01 = hyp[1]
     assert sorted(np.round(c01.real).astype(int)) == [-2, -2, 2, 2]
@@ -94,10 +103,10 @@ def test_threshold_with_a_scale_per_frame_is_the_per_frame_calls():
 
 
 def test_ml_known_decisions():
-    hyp = build_hypotheses(0.0)
+    hyp = hyp_at(0.0)
     assert ml_pair(2.0 + 0.0j, hyp, 0.25) == (0, 1)
     # likelihood concentration: observation placed on a constellation point
-    hyp8 = build_hypotheses(math.pi / 8)
+    hyp8 = hyp_at(math.pi / 8)
     p = hyp8[2][1]
     assert ml_pair(p, hyp8, 1e-4) == (1, 0)
 
@@ -106,7 +115,7 @@ def test_ml_matches_threshold_at_zero_offset():
     # exact-mixture ML and the midpoint threshold differ only inside an
     # O(sigma^2) band around the boundary, so a small variance pins the
     # argmax equivalence on a dense grid
-    hyp = build_hypotheses(0.0)
+    hyp = hyp_at(0.0)
     noise_var = 0.01
     grid = np.linspace(-4.0, 4.0, 100)
     uu, vv = np.meshgrid(grid, grid)
@@ -119,14 +128,14 @@ def test_ml_matches_threshold_at_zero_offset():
 
 
 def test_ml_zero_variance_falls_back_to_nearest_point():
-    hyp = build_hypotheses(0.1)
+    hyp = hyp_at(0.1)
     for c in range(4):
         for p in hyp[c]:
             assert ml_pair(p, hyp, 0.0) == (c >> 1, c & 1)
 
 
 def test_ml_rejects_a_negative_or_nan_variance():
-    hyp = build_hypotheses(0.0)
+    hyp = hyp_at(0.0)
     for bad in (-1e-9, math.nan):
         with pytest.raises(ValueError):
             ml_xor_bits(1.0 + 0j, hyp, bad)
@@ -191,7 +200,7 @@ def test_ml_bits_are_the_full_score_argmax(thetas, noise_var, seed):
 def test_ml_frames_must_split_the_samples_evenly():
     with pytest.raises(ValueError, match="equal frames"):
         ml_xor_bits(np.zeros(5, complex), build_hypotheses((0.0, 0.1)), 1.0)
-    assert ml_xor_bits(np.zeros(0, complex), build_hypotheses(0.1), 1.0).shape == (0, 2)
+    assert ml_xor_bits(np.zeros(0, complex), build_hypotheses((0.1,)), 1.0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -200,7 +209,7 @@ def test_ml_bits_are_the_full_score_argmax_at_huge_scores(theta, scale):
     # far from the constellation every exponent is about -|r|^2 / (2 sigma^2),
     # 1e13 to 1e16 here, where one ulp of a score exceeds the screen's 1e-9
     rng = np.random.default_rng(5)
-    pts = build_hypotheses(theta)
+    pts = hyp_at(theta)
     r = scale * np.exp(2j * math.pi * rng.uniform(size=4000))
     r[:400] = scale * 1j  # on the imaginary axis, where points share distances
     r[400:800] = scale
@@ -209,7 +218,7 @@ def test_ml_bits_are_the_full_score_argmax_at_huge_scores(theta, scale):
 
 def test_noiseless_correctness_over_theta_grid():
     for theta in np.linspace(-math.pi / 4, math.pi / 4, 21)[:-1]:
-        hyp = build_hypotheses(float(theta))
+        hyp = hyp_at(float(theta))
         for b1 in range(4):
             for b3 in range(4):
                 r = qpsk_modulate(b1) + qpsk_modulate(b3) * np.exp(1j * theta)
@@ -218,7 +227,7 @@ def test_noiseless_correctness_over_theta_grid():
 
 def test_min_distance_matches_closed_form():
     for theta in np.linspace(0.0, math.pi / 4, 100, endpoint=False):
-        hyp = build_hypotheses(float(theta))
+        hyp = hyp_at(float(theta))
         assert min_interclass_distance_sq(hyp) == pytest.approx(
             analysis.min_distance_sq(float(theta)), abs=1e-9)
 
@@ -227,7 +236,7 @@ def test_ml_tie_breaks_lexicographically():
     # the origin at zero offset is equidistant from classes (0,1) and (1,0);
     # ML still resolves deterministically to the smallest class index among
     # the maxima, and the winner here is the origin's own class (1,1)
-    hyp = build_hypotheses(0.0)
+    hyp = hyp_at(0.0)
     a = ml_pair(0j, hyp, 0.5)
     b = ml_pair(0j, hyp, 0.5)
     assert a == b == (1, 1)
@@ -236,67 +245,22 @@ def test_ml_tie_breaks_lexicographically():
 @given(st.floats(-math.pi / 4, math.pi / 4, exclude_max=True),
        st.floats(-4, 4), st.floats(-4, 4))
 def test_ml_decision_is_deterministic(theta, x, y):
-    hyp = build_hypotheses(theta)
+    hyp = hyp_at(theta)
     r = complex(x, y)
     assert ml_pair(r, hyp, 0.3) == ml_pair(r, hyp, 0.3)
 
 
 # ---------------------------------------------------------------------------
-# log-sum-exp kernel: bit for bit the same as scipy.special.logsumexp
-
-# every (shape, axis) the package reduces: the MI denominator (n, 16), the
-# time-offset mixtures (n, 2k) and (n, k) with k = 256 atoms, the two-bit mix
-# (n, 2), and the ML class scores and per-class MI numerator (4, 4, n) axis 1;
-# plus the sample-major (n, 4, 4) axis 2 the class scores are checked against
-KERNEL_SHAPES = [((300, 4, 4), 2), ((300, 16), 1), ((40, 512), 1), ((40, 256), 1),
-                 ((300, 2), 1), ((50, 1), 1), ((4, 4, 300), 1)]
-
-
-def assert_same_bits(a, axis):
-    got = logsumexp(a, axis=axis)
-    want = scipy_logsumexp(a, axis=axis)
-    assert got.dtype == want.dtype == np.float64
-    assert got.shape == want.shape
-    differ = got.view(np.uint64) != want.view(np.uint64)
-    assert not differ.any(), (f"{int(differ.sum())} of {differ.size} outputs differ, "
-                              f"first {got[differ][0]!r} vs {want[differ][0]!r}")
-
-
-def kernel_input(shape, axis, kind, rng):
-    """Exponents of the kind the package feeds the kernel, with forced edge cases."""
-    a = -rng.exponential(3.0, shape)
-    n = shape[axis]
-    lead = np.moveaxis(a, axis, -1)  # view: writes land in a
-    if kind == "ties2" and n >= 2:
-        lead[..., :2] = lead.max(axis=-1, keepdims=True) + 0.5
-    elif kind == "ties4" and n >= 4:
-        lead[..., :4] = lead.max(axis=-1, keepdims=True) + 0.25
-    elif kind == "all_equal":
-        lead[...] = lead[..., :1]
-    elif kind == "neg_inf" and n >= 2:
-        lead[..., 1::3] = -np.inf  # entry 0 stays finite
-    elif kind == "high_snr":
-        a *= 1e4
-        a -= 1e6
-    return a
-
-
-@pytest.mark.parametrize("kind", ["plain", "ties2", "ties4", "all_equal", "neg_inf",
-                                  "high_snr"])
-@pytest.mark.parametrize("shape,axis", KERNEL_SHAPES)
-def test_logsumexp_bits_match_scipy(shape, axis, kind):
-    rng = np.random.default_rng(11)
-    assert_same_bits(kernel_input(shape, axis, kind, rng), axis)
+# the oracle's class scores: scipy.special.logsumexp in the class-major layout
 
 
 def assert_scores_match_scipy(theta, noise_var, rng):
     """ml_class_scores against scipy on the sample-major (n, 4, 4) exponents.
 
     Samples sit on the 16 points and around them; at theta = 0 several
-    points coincide, so rows have 2 or 4 equal maxima.  Returns the
-    exponents (None for noise_var == 0, whose scores are -min distance).
+    points coincide, so rows have 2 or 4 equal maxima.
     """
-    hyp = build_hypotheses(theta)
+    hyp = hyp_at(theta)
     flat = hyp.reshape(-1)
     sd = math.sqrt(noise_var) if noise_var else 0.3
     r = np.concatenate([flat, flat[rng.integers(0, 16, 500)]
@@ -305,20 +269,10 @@ def assert_scores_match_scipy(theta, noise_var, rng):
     got = ml_class_scores(r, hyp, noise_var)
     assert got.shape == (r.size, 4)
     if noise_var == 0:
-        want, e = -d2.min(axis=2), None
+        want = -d2.min(axis=2)
     else:
-        e = -d2 / (2.0 * noise_var)
-        want = scipy_logsumexp(e, axis=2)
+        want = scipy_logsumexp(-d2 / (2.0 * noise_var), axis=2)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    return e
-
-
-@pytest.mark.parametrize("theta", [0.0, -math.pi / 4, 0.3])
-@pytest.mark.parametrize("noise_var", [1.0, 0.05, 1e-4])
-def test_logsumexp_bits_match_scipy_on_hypothesis_sets(theta, noise_var):
-    e = assert_scores_match_scipy(theta, noise_var, np.random.default_rng(7))
-    assert_same_bits(e, 2)
-    assert_same_bits(e.reshape(-1, 16), 1)
 
 
 @given(st.floats(-math.pi / 4, math.pi / 4, exclude_max=True),
@@ -328,3 +282,83 @@ def test_logsumexp_bits_match_scipy_on_hypothesis_sets(theta, noise_var):
 @example(0.3, 0.0, 7)
 def test_ml_class_scores_bits_match_scipy_at_any_offset_and_variance(theta, noise_var, seed):
     assert_scores_match_scipy(theta, noise_var, np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# the mixture kernel: the screen's bracket, and scipy's log-sum-exp
+
+
+def exponent_magnitudes(kind, scale, n, rng):
+    """(4, 4, n) magnitudes |a| of class-major exponents, with forced ties.
+
+    ties2 / ties4 make the two / four largest exponents of every class
+    equal, all_equal makes the 16 of a column equal, near_ulp moves them
+    a few ulp apart, and classes gives every class the same largest one.
+    """
+    u = scale * rng.exponential(1.0, (4, 4, n))
+    if kind == "ties2":
+        u[:, :2] = u.min(axis=1, keepdims=True)
+    elif kind == "ties4":
+        u[:] = u.min(axis=1, keepdims=True)
+    elif kind == "all_equal":
+        u[:] = u[:1, :1]
+    elif kind == "near_ulp":
+        u[:] = u[:1, :1] * (1.0 + rng.integers(-4, 5, (4, 4, n)) * 2.0 ** -52)
+    elif kind == "classes":
+        u -= u.min(axis=1, keepdims=True) - u.min(axis=(0, 1))
+    return u
+
+
+EXPONENT_KINDS = st.sampled_from(["plain", "ties2", "ties4", "all_equal", "near_ulp", "classes"])
+EXPONENT_SCALES = st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e8, 1e13, 1e16])
+
+
+@given(EXPONENT_KINDS, EXPONENT_SCALES, st.floats(-300.0, 1.0).map(lambda x: 10.0 ** x),
+       st.integers(0, 2**32 - 1))
+@example("all_equal", 1e16, 1e-300, 1)
+@example("ties4", 1e16, 1.0, 2)
+@example("near_ulp", 1e13, 1e-300, 3)
+@example("classes", 1.0, 10.0, 4)
+def test_class_scores_lie_in_the_screens_bracket(kind, scale, noise_var, seed):
+    # the premise of the ML screen: each class score of the kernel is at
+    # least the class's largest exponent lo, exactly, and at most its upper
+    # end lo (1 - 2^-50) + _SCORE_SLACK; exponents formed as the detector
+    # forms them, -d2 / (2 sigma^2), from squared distances d2
+    u = exponent_magnitudes(kind, scale, 64, np.random.default_rng(seed))
+    a = u * (2.0 * noise_var)
+    a /= -2.0 * noise_var
+    assert np.all(np.isfinite(a))
+    lo = a.max(axis=1)
+    score = _log_mixture(-a, _PAIR_W, 1.0)
+    assert score.shape == lo.shape
+    assert np.all(lo <= score)
+    assert np.all(score <= lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK)
+
+
+def assert_close_to_scipy(d2, weights, scale):
+    """_log_mixture of d2 against scipy's weighted log-sum-exp, to 1e-13.
+
+    The kernel drops the terms below half an ulp of its nearest term's 1,
+    where scipy's log1p keeps them, so near a value of 0 the bound is
+    absolute.
+    """
+    want = scipy_logsumexp(-scale * d2, axis=-2, b=weights[:, None])
+    got = _log_mixture(d2.copy(), weights, scale)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@given(EXPONENT_KINDS, EXPONENT_SCALES, st.floats(-300.0, 1.0).map(lambda x: 10.0 ** x),
+       st.integers(0, 2**32 - 1))
+@example("all_equal", 1e16, 1e-300, 1)
+@example("near_ulp", 1e3, 1e-300, 3)
+def test_log_mixture_matches_scipy_on_the_ml_and_mi_shapes(kind, scale, noise_var, seed):
+    rng = np.random.default_rng(seed)
+    u = exponent_magnitudes(kind, scale, 64, rng)
+    # ML: the negated exponents at scale 1
+    assert_close_to_scipy(u, _PAIR_W, 1.0)
+    # 2-D MI: squared distances (4, 4, n) at scale 1 / (2 sigma^2)
+    assert_close_to_scipy(u * (2.0 * noise_var), _PAIR_W, 0.5 / noise_var)
+    # time MI: the 81 weighted ISI atoms, (81, n) at scale 1 / (2 veff)
+    d2 = np.concatenate([u.reshape(16, -1)] * 6)[:_ISI_W.size] * (2.0 * noise_var)
+    assert_close_to_scipy(d2, _ISI_W, 0.5 / noise_var)

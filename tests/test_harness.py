@@ -12,12 +12,12 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from pncsync import harness
-from pncsync.cli import _overrides, _parse_grid, build_parser, main as cli_main
+from pncsync.cli import _overrides, build_parser, main as cli_main
 from pncsync.impairments import PulseShape, isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
-from pncsync.harness import (BerResult, ExperimentConfig, config_from_file, parse_config_file,
-                             penalty_summary, run_ber, run_chain, run_mi, run_penalty,
-                             scenario_label)
+from pncsync.harness import (BerResult, ExperimentConfig, _parse_grid, config_from_file,
+                             parse_config_file, penalty_summary, run_ber, run_chain, run_mi,
+                             run_penalty, scenario_label)
 from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level, time_ber
 
 
@@ -369,9 +369,10 @@ def test_ber_streams_are_keyed_by_scenario_point_batch():
         dt = rng.uniform(-0.3, 0.3, 3)
         a = rng.integers(0, 2, (3, 2, 2, n + 2 * L), dtype=np.int32) * 2 - 1
         noise = rng.standard_normal((3, 2, n))
+        centre = raised_cosine(dt / 2, 0.5)
         for f in range(3):
-            scale = 0.5 * raised_cosine(dt[f] / 2, 0.5)
-            _, te, tl = isi_taps(float(dt[f]), pulse)
+            scale = 0.5 * centre[f]
+            _, (te,), (tl,) = isi_taps((float(dt[f]),), pulse)
             for d in range(2):
                 a1, a3 = a[f, d]
                 r = mid_offset_frame(a1, a3, te, tl)[L:L + n] + sd * noise[f, d]
@@ -647,15 +648,41 @@ def test_cli_flags_set_config_fields_only():
         assert set(vars(build_parser().parse_args([cmd]))) <= names, cmd
 
 
-@pytest.mark.parametrize("text", ["0.1,0.02,0.001", "0.1 0.02 0.001", " 0.1 ,0.02,  0.001 "])
-def test_cli_lists_parse_as_in_the_config_file(tmp_path, text):
+@pytest.mark.parametrize("text", ["0.1,0.02,0.001", "0.1 0.02 0.001", " 0.1 ,0.02,  0.001 ",
+                                  "0:14", "0:1:0.3", "5:1"])
+def test_cli_lists_parse_as_in_the_config_file(tmp_path, text, capsys):
     p = tmp_path / "c.cfg"
+    if text == "5:1":  # a bad range: the same message from the file and from the flag
+        p.write_text(f"snr_grid_db = {text}\n", encoding="utf-8")
+        message = "snr grid '5:1': stop is below start"
+        with pytest.raises(ValueError) as in_file:
+            parse_config_file(p)
+        assert str(in_file.value) == f"{p}:1: bad value for 'snr_grid_db': {message}"
+        assert cli_usage_error(["ber", "--snr-grid", text], capsys) == f"pnc ber: error: {message}"
+        assert cli_usage_error(["ber", "--config", str(p)], capsys) == \
+            f"pnc ber: error: {in_file.value}"
+        return
+    grid = _overrides(build_parser().parse_args(["ber", "--snr-grid", text]))
+    if ":" in text:  # a range, in a file too
+        p.write_text(f"snr_grid_db = {text}\n", encoding="utf-8")
+        want = {"0:14": tuple(map(float, range(15))), "0:1:0.3": (0.0, 0.3, 0.6, 0.9)}[text]
+        assert grid["snr_grid_db"] == parse_config_file(p)["snr_grid_db"] == want
+        assert config_from_file(p, command="ber").snr_grid_db == want
+        return
     p.write_text(f"snr_grid_db = {text}\nchain_local_errors = {text}\n", encoding="utf-8")
     in_file = parse_config_file(p)
     errors = _overrides(build_parser().parse_args(["chain", "--errors", text]))
-    grid = _overrides(build_parser().parse_args(["ber", "--snr-grid", text]))
     assert errors["chain_local_errors"] == in_file["chain_local_errors"] == (0.1, 0.02, 0.001)
     assert grid["snr_grid_db"] == in_file["snr_grid_db"] == (0.1, 0.02, 0.001)
+
+
+@pytest.mark.parametrize("argv", ["penalty --workers 3", "chain --nodes 3 --workers 7"])
+def test_cli_workers_is_refused_where_there_are_no_batches(argv, capsys):
+    # penalty and chain run no Monte-Carlo batches, so they do not take --workers
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_readme_commands_build_their_configs():

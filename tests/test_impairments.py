@@ -24,6 +24,12 @@ from oracles import pnc_xor_of_levels
 QPSK = [complex(a, b) for a in (-1, 1) for b in (-1, 1)]
 
 
+def taps_at(dt, pulse):
+    """(lags, taps_early, taps_late) of one offset, the taps 1-D."""
+    lags, te, tl = isi_taps((dt,), pulse)
+    return lags, te[0], tl[0]
+
+
 # ---------------------------------------------------------------------------
 # phase folding
 
@@ -87,9 +93,10 @@ def test_detection_equivalence_under_folding(theta, s1, s3):
 
 def test_superpose_known_values():
     # pair j of class c is (s1, s3) = (j, j ^ c) in the class-major layout
-    assert build_hypotheses(0.0)[0, 3] == 2 + 2j  # (1+j) + (1+j)
-    assert build_hypotheses(0.0)[3, 3] == 0       # (1+j) + (-1-j)
-    val = build_hypotheses(-math.pi / 4)[0, 3]    # (1+j) + (1+j) e^{-j pi/4}
+    at_zero, at_quarter = build_hypotheses((0.0, -math.pi / 4))
+    assert at_zero[0, 3] == 2 + 2j  # (1+j) + (1+j)
+    assert at_zero[3, 3] == 0       # (1+j) + (-1-j)
+    val = at_quarter[0, 3]          # (1+j) + (1+j) e^{-j pi/4}
     assert val == pytest.approx((1 + math.sqrt(2)) + 1j, abs=1e-12)
 
 
@@ -98,19 +105,16 @@ def test_superpose_known_values():
 
 
 def test_raised_cosine_center_and_nyquist_zeros():
+    k = np.arange(1.0, 11.0)
     for beta in (0.0, 0.25, 0.5, 1.0):
-        assert raised_cosine(0.0, beta) == 1.0
-        for k in range(1, 11):
-            assert abs(raised_cosine(k * 1.0, beta)) < 1e-12
-            assert abs(raised_cosine(-k * 1.0, beta)) < 1e-12
+        assert raised_cosine(np.array([0.0]), beta)[0] == 1.0
+        assert np.all(np.abs(raised_cosine(np.concatenate([k, -k]), beta)) < 1e-12)
 
 
 def test_raised_cosine_singularity_beta_half():
     # t = T/(2*beta) = T for beta = 0.5 is both the singular point and a
     # Nyquist zero; the exact hit and the two-sided limit agree on 0
-    exact = raised_cosine(1.0, 0.5)
-    lo = raised_cosine(1.0 - 1e-6, 0.5)
-    hi = raised_cosine(1.0 + 1e-6, 0.5)
+    exact, lo, hi = raised_cosine(np.array([1.0, 1.0 - 1e-6, 1.0 + 1e-6]), 0.5)
     assert abs(exact) < 1e-12
     assert abs(lo) < 1e-5 and abs(hi) < 1e-5
     assert abs((lo + hi) / 2 - exact) < 1e-8
@@ -118,14 +122,15 @@ def test_raised_cosine_singularity_beta_half():
 
 def test_raised_cosine_singularity_beta_one():
     # beta = 1: singular point t = T/2, limit (pi/4)*sinc(1/2) = 1/2
-    assert raised_cosine(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert raised_cosine(0.5 + 1e-7, 1.0) == pytest.approx(0.5, abs=1e-5)
+    exact, near = raised_cosine(np.array([0.5, 0.5 + 1e-7]), 1.0)
+    assert exact == pytest.approx(0.5, abs=1e-12)
+    assert near == pytest.approx(0.5, abs=1e-5)
 
 
 def test_raised_cosine_validation():
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
-            raised_cosine(0.1, bad)
+            raised_cosine(np.array([0.1]), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +147,15 @@ def _waveform_oracle(a1, a3, k, dt, beta, span=40):
     t = k + dt / 2
     total = 0.0
     for l in range(max(0, k - span), min(len(a1), k + span + 1)):
-        total += a1[l] * raised_cosine(t - l, beta)
-        total += a3[l] * raised_cosine(t - l - dt, beta)
+        p1, p3 = raised_cosine(np.array([t - l, t - l - dt]), beta)
+        total += a1[l] * p1
+        total += a3[l] * p3
     return 0.5 * total
 
 
 def _frame(a1, a3, dt, pulse):
     """Mid-offset samples of a frame through the runners' path: taps, then frame."""
-    _, te, tl = isi_taps(dt, pulse)
+    _, te, tl = taps_at(dt, pulse)
     return mid_offset_frame(a1, a3, te, tl)
 
 
@@ -207,7 +213,7 @@ def test_sample_window_bounds_checked():
     for k in (0, 2, 18, 37, 39):
         assert frame[k] == pytest.approx(_waveform_oracle(a1, a3, k, 0.1, 0.5, span=16),
                                          abs=1e-12)
-    _, te, tl = isi_taps(0.1, pulse)
+    _, te, tl = taps_at(0.1, pulse)
     with pytest.raises(ValueError):
         mid_offset_frame(a1, a3[:-1], te, tl)
 
@@ -229,7 +235,7 @@ def test_short_trains_are_rejected(L):
     # trains of at most 2L symbols are rejected; the shortest accepted one,
     # 2L+1 symbols, gives one sample per symbol, the oracle's sum clipped to the train
     pulse = PulseShape(0.5, L)
-    _, te, tl = isi_taps(0.1, pulse)
+    _, te, tl = taps_at(0.1, pulse)
     rng = np.random.default_rng(L)
     for n in range(1, 2 * L + 1):
         a = rng.integers(0, 2, n) * 2 - 1
@@ -247,10 +253,9 @@ def test_short_trains_are_rejected(L):
 
 def test_isi_taps_center_is_signal_tap():
     pulse = PulseShape(0.5, 16)
-    lags, te, tl = isi_taps(0.4, pulse)
+    lags, te, tl = taps_at(0.4, pulse)
     assert lags[16] == 0
-    assert te[16] == pytest.approx(raised_cosine(0.2, 0.5))
-    assert tl[16] == pytest.approx(raised_cosine(-0.2, 0.5))
+    assert [te[16], tl[16]] == pytest.approx(raised_cosine(np.array([0.2, -0.2]), 0.5))
 
 
 def _bench_rolloffs():
@@ -288,8 +293,8 @@ def test_raised_cosine_one_piece_matches_the_masked_path_bit_for_bit(rolloff):
     masked = raised_cosine(np.concatenate([regular, near]), rolloff)
     assert np.array_equal(masked[:regular.size].view(np.uint64), one_piece.view(np.uint64))
     assert np.array_equal(masked[regular.size:], want_near)
-    for i in range(0, regular.size, 97):  # scalars take the same path
-        assert raised_cosine(float(regular[i]), rolloff) == one_piece[i]
+    for i in range(0, regular.size, 97):  # one-offset calls take the same path
+        assert raised_cosine(regular[i:i + 1], rolloff)[0] == one_piece[i]
 
 
 @pytest.mark.parametrize("rolloff", (0.0,) + _bench_rolloffs())
@@ -301,18 +306,19 @@ def test_isi_taps_late_is_early_reversed_bit_for_bit(rolloff):
     assert 0.5 in TAP_OFFSETS and -0.5 in TAP_OFFSETS
     for L in (1, 16, 40):
         pulse = PulseShape(rolloff, L)
-        for dt in TAP_OFFSETS:
-            lags, te, tl = isi_taps(dt, pulse)
+        lags, taps_early, taps_late = isi_taps(tuple(TAP_OFFSETS), pulse)
+        centre = raised_cosine(np.array(TAP_OFFSETS) / 2, rolloff)  # the runners' p(dt/2)
+        for dt, te, tl, p in zip(TAP_OFFSETS, taps_early, taps_late, centre):
             want_te = raised_cosine(lags + dt / 2, rolloff)
             want_tl = raised_cosine(lags - dt / 2, rolloff)
             assert np.array_equal(te.view(np.uint64), want_te.view(np.uint64)), (L, dt)
             assert np.array_equal(tl.view(np.uint64), want_tl.view(np.uint64)), (L, dt)
-            assert te[L] == raised_cosine(dt / 2, rolloff), (L, dt)  # the runners' p(dt/2)
+            assert te[L] == p, (L, dt)
 
 
 def test_isi_taps_are_read_only():
     # taps_late is a view of taps_early: no caller may write through either
-    _, te, tl = isi_taps(0.3, PulseShape())
+    _, te, tl = isi_taps((0.3, -0.1), PulseShape())
     assert not te.flags.writeable and not tl.flags.writeable
     with pytest.raises(ValueError):
         tl[0] = 1.0
@@ -328,7 +334,7 @@ def test_tap_grid_rows_are_the_scalar_taps_bit_for_bit(rolloff):
         lags, te, tl = _mid_offset_taps(grid, pulse)
         assert te.shape == tl.shape == (len(grid), 2 * L + 1)
         for row, dt in enumerate(TAP_OFFSETS):
-            want_lags, want_te, want_tl = isi_taps(dt, pulse)
+            want_lags, want_te, want_tl = taps_at(dt, pulse)
             assert np.array_equal(lags, want_lags)
             assert np.array_equal(te[row].view(np.uint64), want_te.view(np.uint64)), (L, dt)
             assert np.array_equal(tl[row].view(np.uint64), want_tl.view(np.uint64)), (L, dt)
@@ -337,9 +343,11 @@ def test_tap_grid_rows_are_the_scalar_taps_bit_for_bit(rolloff):
         assert np.array_equal(lags_t, lags)
         assert np.array_equal(te_t.view(np.uint64), te.view(np.uint64))
         assert np.array_equal(tl_t.view(np.uint64), tl.view(np.uint64))
-    # but not an array: its calls are keyed by their (hashable) arguments
+    # but not an array or a scalar: its calls are keyed by their (hashable) arguments
     with pytest.raises(TypeError):
         isi_taps(grid[:2], PulseShape())
+    with pytest.raises(TypeError):
+        isi_taps(0.1, PulseShape())
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def test_superposition_rows_are_the_one_offset_calls_bit_for_bit():
     rows = build_hypotheses(thetas)
     assert rows.shape == (len(thetas), 4, 4)
     for row, theta in zip(rows, thetas):
-        want = build_hypotheses(theta)
+        want = build_hypotheses((theta,))[0]
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), theta
 
 
@@ -366,7 +374,7 @@ def test_offset_draws_stay_in_range_and_follow_the_stream():
     # a zero range draws nothing from the stream: the trains come first
     rng, ref = np.random.default_rng(61), np.random.default_rng(61)
     taps, _, x = time_offset_frames(3, 2, 40, 0.0, PULSE, 0.1, rng)
-    assert np.array_equal(taps, np.tile(isi_taps(0.0, PULSE)[1], (3, 1)))
+    assert np.array_equal(taps, np.tile(isi_taps((0.0,), PULSE)[1], (3, 1)))
     a = ref.integers(0, 2, (3, 2, 2, 72), dtype=np.int32)
     assert np.array_equal(x, a[:, :, 0, 16:56] != a[:, :, 1, 16:56])
     # the phase batch folds every uniform draw; a reachable draw folds to itself
@@ -392,8 +400,9 @@ def test_frames_follow_the_documented_draw_order():
     dt = ref.uniform(-x, x, frames)
     a = ref.integers(0, 2, (frames, 2, 2, n + 32), dtype=np.int32) * 2 - 1
     noise = ref.standard_normal((frames, 2, n))
+    centre = raised_cosine(dt / 2, 0.5)
     for f in range(frames):
-        assert taps[f][16] == raised_cosine(dt[f] / 2, 0.5)
+        assert taps[f][16] == centre[f]
         for d in range(2):
             a1, a3 = a[f, d]
             want = [_waveform_oracle(a1, a3, k, dt[f], 0.5, span=16)
@@ -410,7 +419,7 @@ def test_one_time_frame_is_the_per_frame_draw_bit_for_bit():
         for _ in range(3):
             taps, r, xbit = time_offset_frames(1, 1, n, x, PULSE, 0.3, rng)
             dt = float(ref.uniform(-x, x)) if x > 0 else 0.0
-            _, te, tl = isi_taps(dt, PULSE)
+            _, te, tl = taps_at(dt, PULSE)
             a1 = ref.integers(0, 2, n + 32) * 2 - 1
             a3 = ref.integers(0, 2, n + 32) * 2 - 1
             want = mid_offset_frame(a1, a3, te, tl)[16:16 + n] + 0.3 * ref.standard_normal(n)

@@ -29,7 +29,7 @@ def test_xor_demap_known_levels():
 
 def test_level_validation():
     # every noiseless superposition lies on {-2, 0, 2} per dimension
-    levels = build_hypotheses(0.0)
+    levels = build_hypotheses((0.0,))[0]
     assert set(levels.real.ravel().tolist()) == set(levels.imag.ravel().tolist()) == {-2, 0, 2}
     with pytest.raises(KeyError):
         pnc_xor_of_levels(1 + 0j)
@@ -53,7 +53,7 @@ def test_layout_tables():
 
 def test_demap_equals_xor_for_all_16_pairs():
     # the whole mapping table, both dimensions, exhaustively, in the layout's order
-    levels = build_hypotheses(0.0)
+    levels = build_hypotheses((0.0,))[0]
     for c in range(4):
         for j in range(4):
             s1, s3 = S1[c, j], S3[c, j]

@@ -143,12 +143,12 @@ def _time_densities(r, level, atoms, weights, veff):
 
 
 def _atoms_both_ways(dt, rolloff, trunc):
-    lags, te, tl = isi_taps(dt, PulseShape(rolloff, trunc))
+    lags, (te,), (tl,) = isi_taps((dt,), PulseShape(rolloff, trunc))
     return te[trunc], _window_isi_atoms(te, lags), isi_atoms_by_enumeration(te, tl, lags)
 
 
 def test_window_atom_weights_count_the_256_sign_patterns():
-    lags, te, _ = isi_taps(0.3, PULSE)
+    lags, (te,), _ = isi_taps((0.3,), PULSE)
     atoms, weights, _ = _window_isi_atoms(te, lags)
     assert atoms.shape == weights.shape == (81,)
     assert float(np.sum(weights)) == 256.0
@@ -205,7 +205,7 @@ def _assert_log_close(got, want):
 @example(snr=300.0, theta=0.0, seed=0)
 @example(snr=-300.0, theta=-math.pi / 4, seed=1)
 def test_class_log_densities_match_the_logsumexp_oracle(snr, theta, seed):
-    pts = build_hypotheses(theta)
+    pts = build_hypotheses((theta,))[0]
     s2 = 10.0 ** (-snr / 10.0)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 16, 300)
@@ -230,7 +230,7 @@ def test_class_log_densities_match_the_logsumexp_oracle(snr, theta, seed):
 @example(snr=300.0, dt=0.5, rolloff=0.0, trunc=1, seed=1)
 @example(snr=-300.0, dt=-0.5, rolloff=1.0, trunc=2, seed=2)
 def test_time_log_densities_match_the_logsumexp_oracle(snr, dt, rolloff, trunc, seed):
-    lags, te, _ = isi_taps(dt, PulseShape(rolloff, trunc))
+    lags, (te,), _ = isi_taps((dt,), PulseShape(rolloff, trunc))
     level = te[trunc]
     atoms, weights, tail_var = _window_isi_atoms(te, lags)
     sd = 0.5 * 10.0 ** (-snr / 20.0)
@@ -290,7 +290,7 @@ def test_time_mi_blocks_change_no_bit_and_no_draw(monkeypatch, frame):
 
 @pytest.mark.parametrize("n", [37, 100, 1000])
 def test_time_log_densities_are_the_same_bits_in_any_block(monkeypatch, n):
-    lags, te, _ = isi_taps(0.37, PULSE)
+    lags, (te,), _ = isi_taps((0.37,), PULSE)
     atoms, weights, tail_var = _window_isi_atoms(te, lags)
     r = 0.7 * np.random.default_rng(1).standard_normal(n)
     got = []

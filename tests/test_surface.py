@@ -3,7 +3,7 @@
 Small runs of every command and scenario go through `pnc` under a profiler
 that records each Python function called.  A public module-level function
 that none of them reaches is test-only code: it moves into tests/oracles.py
-or goes.  KEPT names the exceptions and why.
+or goes.
 """
 
 import importlib
@@ -13,11 +13,6 @@ import sys
 
 import pncsync
 from pncsync.cli import main
-
-KEPT = {
-    "chain.effective_detection_errors":
-        "tests/test_acceptance.py::test_criterion_10_chain_arithmetic checks it",
-}
 
 
 def test_every_public_function_is_run_by_a_command(tmp_path, capsys):
@@ -41,6 +36,5 @@ def test_every_public_function_is_run_by_a_command(tmp_path, capsys):
         public.update((f"{info.name}.{name}", f) for name, f in vars(mod).items()
                       if inspect.isfunction(f) and f.__module__ == mod.__name__
                       and not name.startswith("_"))
-    assert set(KEPT) <= set(public), "KEPT names a function the package no longer has"
-    unreached = [n for n, f in public.items() if f.__code__ not in called and n not in KEPT]
+    unreached = [n for n, f in public.items() if f.__code__ not in called]
     assert sorted(unreached) == []
