@@ -18,7 +18,7 @@ def _common(sub):
     sub.add_argument("--out", dest="output_path", help="output file path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     """The `pnc` parser; each option's dest is the ExperimentConfig field it sets."""
     ap = argparse.ArgumentParser(
         prog="pnc",
@@ -60,6 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: parse_args keeps no state between calls, and
+# in-process callers of main (tests, the benchmark worker) then skip the build
+_PARSER = _build_parser()
+
+
 def _overrides(args) -> dict:
     """The ExperimentConfig fields the command line sets; text parses as in a config file."""
     ov = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
@@ -69,8 +74,7 @@ def _overrides(args) -> dict:
 
 def main(argv=None) -> int:
     """Run one `pnc` command; bad input exits 2 with a one-line message, as argparse does."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         ov = _overrides(args)
         if args.config:

@@ -96,8 +96,7 @@ def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
 
     points is the (F, 4, 4) array of `build_hypotheses`, one
     constellation for each of F equal frames of the N samples (frame f
-    holds samples f*N/F to (f+1)*N/F - 1); one (4, 4) constellation of
-    it is one frame.  Picks the first class
+    holds samples f*N/F to (f+1)*N/F - 1).  Picks the first class
     (lexicographic in (x_i, x_q)) among the maxima of the exact class
     scores log sum_j exp(a[c, j]), a = -|r - p_cj|^2 / (2 sigma^2), and
     computes those scores only where the largest exponent per class,
@@ -106,16 +105,15 @@ def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     """
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    pts = np.reshape(points, (-1, NUM_CLASSES, PAIRS_PER_CLASS))
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
-    if r.size % len(pts):
-        raise ValueError(f"{r.size} samples do not split into {len(pts)} equal frames")
-    r = r.reshape(len(pts), -1)
+    if r.size % len(points):
+        raise ValueError(f"{r.size} samples do not split into {len(points)} equal frames")
+    r = r.reshape(len(points), -1)
     # whole frames of at most _CHUNK symbols at a time (one frame if longer):
     # the exponents take 128 bytes per symbol, so memory stays bounded
     step = max(1, _CHUNK // max(1, r.shape[1]))
-    return np.concatenate([_ml_frames(r[f:f + step], pts[f:f + step], noise_var)
-                           for f in range(0, len(pts), step)])
+    return np.concatenate([_ml_frames(r[f:f + step], points[f:f + step], noise_var)
+                           for f in range(0, len(points), step)])
 
 
 def _ml_frames(r, points, noise_var):

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.workers != 1 and self.command not in ("ber", "mi"):
+            raise ValueError(f"workers applies only to ber and mi, not {self.command}")
         if self.frame_length < 1:
             raise ValueError("frame_length must be >= 1")
 

@@ -74,28 +74,16 @@ def raised_cosine(t, rolloff: float = 0.5):
         raise ValueError(f"rolloff must be in [0, 1], got {rolloff}")
     x = np.asarray(t, dtype=float)
     ax = np.abs(x)
-    zero = ax < _SING_TOL
+    # elementwise, so the same bits as evaluating the entries one by one; the
+    # singular entries come out inf or nan and are overwritten by their limits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.sin(np.pi * x) * np.cos(np.pi * rolloff * x)
+               / ((np.pi * x) * (1.0 - (2 * rolloff * x) ** 2)))
+    out[ax < _SING_TOL] = 1.0
     if rolloff > 0.0:
-        sing = np.abs(ax - 1.0 / (2 * rolloff)) < _SING_TOL
-    else:
-        sing = np.zeros_like(zero)
-    if zero.any() or sing.any():
-        out = np.empty_like(x)
-        ok = ~(zero | sing)
-        out[ok] = _raised_cosine_formula(x[ok], rolloff)
-        out[zero] = 1.0
-        if rolloff > 0.0:
-            out[sing] = (np.pi / 4) * np.sinc(1.0 / (2 * rolloff))
-    else:
-        # elementwise, so the same bits as evaluating the entries one by one
-        out = _raised_cosine_formula(x, rolloff)
+        edge = 1.0 / (2 * rolloff)
+        out[np.abs(ax - edge) < _SING_TOL] = (np.pi / 4) * np.sinc(edge)
     return out
-
-
-def _raised_cosine_formula(x, rolloff: float):
-    """p(x) by its closed form, for inputs away from the removable singularities."""
-    return (np.sin(np.pi * x) * np.cos(np.pi * rolloff * x)
-            / ((np.pi * x) * (1.0 - (2 * rolloff * x) ** 2)))
 
 
 def _mid_offset_taps(dt_frac, pulse: PulseShape):

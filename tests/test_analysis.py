@@ -18,7 +18,7 @@ from pncsync.analysis import (
     sir_1d_traditional_db,
     worst_sinr_penalty_db,
 )
-from pncsync.impairments import isi_taps
+from pncsync.impairments import _mid_offset_taps, isi_taps
 from test_impairments import _bench_rolloffs
 
 CTX = SinrContext(snr0_db=10.0, rolloff=0.5, truncation_symbols=16)
@@ -287,6 +287,45 @@ def test_sinr_arrays_are_the_scalar_calls_bit_for_bit(rolloff):
         for grid in GRIDS:
             _assert_grid_matches(sinr_linear, _oracle_sinr_linear, ctx, grid)
             _assert_grid_matches(sinr_penalty_db, _oracle_sinr_penalty_db, ctx, grid)
+
+
+def _per_row_isi_variance(dt, ctx):
+    """isi_variance by one 1-D np.add.reduce per offset, on the program's tap grid."""
+    lags, te, tl = _mid_offset_taps(dt, ctx.pulse())
+    tails = lags != 0
+    return np.array([np.add.reduce(e[tails] ** 2) + np.add.reduce(l[tails] ** 2)
+                     for e, l in zip(te, tl)])
+
+
+def _assert_every_offset_is_the_per_row_reduce(dt, ctx):
+    got = isi_variance(dt, ctx)
+    want = _per_row_isi_variance(dt, ctx)
+    assert got.shape == dt.shape
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert differ.size == 0, (ctx, differ.size, dt[differ[:3]])
+
+
+# the three grids of `pnc penalty` in one call: 2,103 offsets, three blocks
+PENALTY_GRIDS = np.concatenate([np.linspace(-0.5, 0.5, 1001), np.linspace(0.0, 0.5, 1001),
+                                np.linspace(-0.5, 0.5, 101)])
+
+
+@pytest.mark.parametrize("rolloff", (0.0, 0.25, 0.5, 1.0))
+@pytest.mark.parametrize("L", (1, 16, 40))
+def test_isi_variance_is_the_per_row_reduce_at_every_offset(rolloff, L):
+    # sizes on both sides of the block of offsets that share one reduce
+    assert analysis._GRID_BLOCK == 1024
+    ctx = SinrContext(10.0, rolloff, L)
+    for n in (0, 1, 2, 1023, 1024, 1025):
+        _assert_every_offset_is_the_per_row_reduce(np.linspace(-0.5, 0.5, n), ctx)
+    _assert_every_offset_is_the_per_row_reduce(PENALTY_GRIDS, ctx)
+
+
+@given(st.lists(st.floats(-0.5, 0.5), max_size=40), st.sampled_from((1, 16, 40)),
+       st.sampled_from(ALL_ROLLOFFS))
+def test_isi_variance_is_the_per_row_reduce_on_any_offsets(dt, L, rolloff):
+    _assert_every_offset_is_the_per_row_reduce(np.array(dt, dtype=float),
+                                               SinrContext(10.0, rolloff, L))
 
 
 def test_isi_variance_array_checks_every_offset():

@@ -21,7 +21,7 @@ def hyp_at(theta):
 
 def ml_pair(sample, hyp, noise_var) -> tuple:
     """ML xor decision for one complex sample, as a bit pair (x_i, x_q)."""
-    return tuple(ml_xor_bits(sample, hyp, noise_var)[0].tolist())
+    return tuple(ml_xor_bits(sample, hyp[None], noise_var)[0].tolist())
 
 
 # the offsets where the constellation degenerates or the folded range ends
@@ -120,7 +120,7 @@ def test_ml_matches_threshold_at_zero_offset():
     grid = np.linspace(-4.0, 4.0, 100)
     uu, vv = np.meshgrid(grid, grid)
     r = (uu + 1j * vv).ravel()
-    ml = ml_xor_bits(r, hyp, noise_var)
+    ml = ml_xor_bits(r, hyp[None], noise_var)
     thr_i = threshold_bits(r.real, 1.0)
     thr_q = threshold_bits(r.imag, 1.0)
     assert np.array_equal(ml[:, 0], thr_i)
@@ -138,7 +138,7 @@ def test_ml_rejects_a_negative_or_nan_variance():
     hyp = hyp_at(0.0)
     for bad in (-1e-9, math.nan):
         with pytest.raises(ValueError):
-            ml_xor_bits(1.0 + 0j, hyp, bad)
+            ml_xor_bits(1.0 + 0j, hyp[None], bad)
 
 
 def boundary_samples(points, noise_var, rng):
@@ -165,7 +165,7 @@ def boundary_samples(points, noise_var, rng):
 def assert_bits_are_the_full_score_argmax(r, points, noise_var, got=None):
     c = ml_classes(r, points, noise_var)
     want = np.stack([c >> 1, c & 1], axis=1)
-    got = ml_xor_bits(r, points, noise_var) if got is None else got
+    got = ml_xor_bits(r, points[None], noise_var) if got is None else got
     assert got.dtype == np.int8 and got.shape == (r.size, 2)
     differ = np.flatnonzero((got != want).any(axis=1))
     assert differ.size == 0, (f"{differ.size} of {r.size} decisions differ, first at "
@@ -194,7 +194,7 @@ def test_ml_bits_are_the_full_score_argmax(thetas, noise_var, seed):
     for frame, bits, p in zip(r, np.split(got, len(r)), pts):
         assert_bits_are_the_full_score_argmax(frame, p, noise_var, bits)
     if len(thetas) == 1:
-        assert np.array_equal(ml_xor_bits(r[0], pts[0], noise_var), got)
+        assert np.array_equal(ml_xor_bits(r[0], pts[:1], noise_var), got)
 
 
 def test_ml_frames_must_split_the_samples_evenly():

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from pncsync import harness
-from pncsync.cli import _overrides, build_parser, main as cli_main
+from pncsync.cli import _build_parser, _overrides, main as cli_main
 from pncsync.impairments import PulseShape, isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
 from pncsync.harness import (BerResult, ExperimentConfig, _parse_grid, config_from_file,
@@ -645,7 +645,7 @@ def test_cli_flags_set_config_fields_only():
     # _overrides reads a flag by its dest, so a dest that is no config field would be dropped
     names = {f.name for f in fields(ExperimentConfig)} | {"config", "usage_error"}
     for cmd in harness.COMMANDS:
-        assert set(vars(build_parser().parse_args([cmd]))) <= names, cmd
+        assert set(vars(_build_parser().parse_args([cmd]))) <= names, cmd
 
 
 @pytest.mark.parametrize("text", ["0.1,0.02,0.001", "0.1 0.02 0.001", " 0.1 ,0.02,  0.001 ",
@@ -662,7 +662,7 @@ def test_cli_lists_parse_as_in_the_config_file(tmp_path, text, capsys):
         assert cli_usage_error(["ber", "--config", str(p)], capsys) == \
             f"pnc ber: error: {in_file.value}"
         return
-    grid = _overrides(build_parser().parse_args(["ber", "--snr-grid", text]))
+    grid = _overrides(_build_parser().parse_args(["ber", "--snr-grid", text]))
     if ":" in text:  # a range, in a file too
         p.write_text(f"snr_grid_db = {text}\n", encoding="utf-8")
         want = {"0:14": tuple(map(float, range(15))), "0:1:0.3": (0.0, 0.3, 0.6, 0.9)}[text]
@@ -671,7 +671,7 @@ def test_cli_lists_parse_as_in_the_config_file(tmp_path, text, capsys):
         return
     p.write_text(f"snr_grid_db = {text}\nchain_local_errors = {text}\n", encoding="utf-8")
     in_file = parse_config_file(p)
-    errors = _overrides(build_parser().parse_args(["chain", "--errors", text]))
+    errors = _overrides(_build_parser().parse_args(["chain", "--errors", text]))
     assert errors["chain_local_errors"] == in_file["chain_local_errors"] == (0.1, 0.02, 0.001)
     assert grid["snr_grid_db"] == in_file["snr_grid_db"] == (0.1, 0.02, 0.001)
 
@@ -685,6 +685,38 @@ def test_cli_workers_is_refused_where_there_are_no_batches(argv, capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["penalty", "chain"])
+def test_config_file_workers_is_refused_where_there_are_no_batches(command, tmp_path, capsys):
+    # the file key, like the flag, would be accepted and ignored
+    p = tmp_path / "w.cfg"
+    p.write_text("workers = 7\n", encoding="utf-8")
+    assert cli_usage_error([command, "--config", str(p)], capsys) == \
+        f"pnc {command}: error: workers applies only to ber and mi, not {command}"
+    p.write_text("workers = 1\n", encoding="utf-8")
+    assert cli_main([command, "--config", str(p), "--out", str(tmp_path / "o.txt")]) == 0
+
+
+def test_cli_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; no call may leave a value to the next
+    halved, plain, again = (tmp_path / f"{n}.txt" for n in ("halved", "plain", "again"))
+    assert cli_main(["chain", "--halved", "--out", str(halved)]) == 0
+    assert cli_main(["chain", "--out", str(plain)]) == 0
+    assert "ts_halved_s" in halved.read_text(encoding="utf-8")
+    assert "ts_halved_s" not in plain.read_text(encoding="utf-8")
+
+    assert cli_usage_error(["chain", "--nodes", "2"], capsys) == \
+        "pnc chain: error: N >= 3 required, got 2"
+    assert cli_main(["chain", "--out", str(again)]) == 0
+    assert again.read_bytes() == plain.read_bytes()
+
+    small = ["--snr-grid", "6", "--samples", "2000"]
+    capsys.readouterr()
+    assert cli_main(["ber", "--scenario", "phase_unsync", *small]) == 0
+    assert cli_main(["ber", *small]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[3] for line in lines] == ["phase_unsync", "perfect"]
+
+
 def test_readme_commands_build_their_configs():
     # the README's reproduction table is the recipe for every result; build, do not run
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -692,7 +724,7 @@ def test_readme_commands_build_their_configs():
     commands = re.findall(r"`pnc ([^`]*)`", section)
     outputs = []
     for line in commands:
-        cfg = ExperimentConfig(**_overrides(build_parser().parse_args(shlex.split(line))))
+        cfg = ExperimentConfig(**_overrides(_build_parser().parse_args(shlex.split(line))))
         if cfg.command in ("ber", "mi"):
             assert cfg.output_path == f"results/{cfg.command}_{scenario_label(cfg)}.csv", line
         if cfg.output_path:

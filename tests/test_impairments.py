@@ -2,6 +2,7 @@ import cmath
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,11 +273,30 @@ TAP_OFFSETS = sorted(set(np.linspace(-0.5, 0.5, 129).tolist())
                      | {0.0, 0.3, -0.3, 0.123456789, -0.4999, 1e-12}) + [-0.0]
 
 
+@pytest.mark.parametrize("rolloff", (0.0, 0.25, 0.5, 1.0))
+def test_raised_cosine_at_its_singular_points(rolloff):
+    # exact hits of t = 0 and +-1/(2b), inputs within and just beyond 1e-9 of
+    # them, and a few regular ones: no warning escapes the whole-array call,
+    # and each entry has the bits of its one-element call
+    sing = [0.0] + ([1.0 / (2 * rolloff)] if rolloff > 0 else [])
+    near = (0.0, -0.0, 1e-9, -1e-9, 5e-10, -5e-10, 9.99e-10, -9.99e-10, 1.01e-9, -1.01e-9,
+            math.nextafter(1e-9, 0.0), math.nextafter(1e-9, 1.0))
+    t = np.array([sign * s + d for s in sing for sign in (1, -1) for d in near]
+                 + [0.1, -0.3, 1.0, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = raised_cosine(t, rolloff)
+        one = np.array([raised_cosine(t[i:i + 1], rolloff)[0] for i in range(t.size)])
+    assert np.array_equal(whole.view(np.uint64), one.view(np.uint64))
+    assert np.all(np.isfinite(whole))
+    assert np.all(whole[np.abs(t) < 1e-9] == 1.0)
+
+
 @pytest.mark.parametrize("rolloff", (0.0,) + _bench_rolloffs())
 def test_raised_cosine_one_piece_matches_the_masked_path_bit_for_bit(rolloff):
-    # an array with no input within 1e-9 of a removable singularity is
-    # evaluated in one piece, one with such an input through the masks;
-    # every regular entry must get the same bits either way
+    # an array with inputs within 1e-9 of a removable singularity, whose
+    # entries take their limits, gives every regular entry the same bits as
+    # an array without them
     sing = [0.0] + ([1.0 / (2 * rolloff)] if rolloff > 0 else [])
     limits = [1.0] + ([(math.pi / 4) * np.sinc(1.0 / (2 * rolloff))] if rolloff > 0 else [])
     inside = (0.0, 5e-10, -5e-10, 9.9e-10, -9.9e-10)
