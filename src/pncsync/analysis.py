@@ -25,8 +25,6 @@ PNC_1D_SIR_DB = 15.3
 
 SNR0_DB = 10.0  # reference SNR of the time-offset penalty (pnc penalty)
 
-# offsets per tap grid in isi_variance; bounds its temporaries to a few (1024, 2L+1) arrays
-_GRID_BLOCK = 1024
 _SIR_MAX_TERMS = 100_000  # cap on the terms of the 1-D SIR series
 _SINR_GRID_POINTS = 1001  # offsets of the average and worst SINR penalty sweeps
 _CURVE_POINTS = 101  # points of each tabulated penalty curve
@@ -107,31 +105,26 @@ def isi_variance(dt_frac, ctx: SinrContext):
     (unit tap amplitudes; any common amplitude scaling cancels in the SINR
     ratio).
 
-    dt_frac is a 1-D array of offsets, evaluated _GRID_BLOCK offsets at a
-    time so the tap grid stays bounded; every grid the program passes is
-    one block.  Each offset's squared tails are summed by one reduce over
-    the last axis of a C-contiguous copy: such a reduce runs numpy's
-    pairwise sum on each row, which is exactly the 1-D call.  The
-    boolean-masked tails are not C-contiguous, and a reduce over them
-    adds in another order and moves the last bit of many rows; the copy
-    is what keeps each element the bits of its one-offset call.
+    dt_frac is a 1-D array of offsets, taken in one tap grid (the program
+    passes at most _SINR_GRID_POINTS).  Each offset's squared tails are
+    summed by one reduce over the last axis of a C-contiguous copy: such
+    a reduce runs numpy's pairwise sum on each row, which is exactly the
+    1-D call.  The boolean-masked tails are not C-contiguous, and a
+    reduce over them adds in another order and moves the last bit of
+    many rows; the copy is what keeps each element the bits of its
+    one-offset call.
     """
     dt = np.asarray(dt_frac, dtype=float)
     bad = dt[np.abs(dt) > 0.5]
     if bad.size:
         raise ValueError(f"|dt_frac| must be <= 0.5, got {bad[0]}")
-    pulse = ctx.pulse()
-    out = np.empty(dt.shape)
-    for start in range(0, len(dt), _GRID_BLOCK):
-        block = slice(start, start + _GRID_BLOCK)
-        lags, te, tl = _mid_offset_taps(dt[block], pulse)
-        tails = lags != 0
-        early = np.ascontiguousarray(te[:, tails])
-        late = np.ascontiguousarray(tl[:, tails])
-        early *= early
-        late *= late
-        out[block] = np.add.reduce(early, axis=1) + np.add.reduce(late, axis=1)
-    return out
+    lags, te, tl = _mid_offset_taps(dt, ctx.pulse())
+    tails = lags != 0
+    early = np.ascontiguousarray(te[:, tails])
+    late = np.ascontiguousarray(tl[:, tails])
+    early *= early
+    late *= late
+    return np.add.reduce(early, axis=1) + np.add.reduce(late, axis=1)
 
 
 def sinr_linear(dt_frac, ctx: SinrContext):

@@ -101,11 +101,11 @@ def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
     scores log sum_j exp(a[c, j]), a = -|r - p_cj|^2 / (2 sigma^2), and
     computes those scores only where the largest exponent per class,
     lo_c, leaves the decision open.  See the module docstring for why
-    the screen is exact.  noise_var == 0 is the nearest-point rule.
+    the screen is exact.
     """
-    if not noise_var >= 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    r = np.atleast_1d(np.asarray(samples, dtype=complex))
+    if not noise_var > 0:
+        raise ValueError(f"noise_var must be > 0, got {noise_var}")
+    r = np.asarray(samples, dtype=complex)
     if r.size % len(points):
         raise ValueError(f"{r.size} samples do not split into {len(points)} equal frames")
     r = r.reshape(len(points), -1)
@@ -123,10 +123,8 @@ def _ml_frames(r, points, noise_var):
         np.abs(r - points[:, c, :, None].swapaxes(0, 1), out=a[c])
     a = a.reshape(NUM_CLASSES, PAIRS_PER_CLASS, -1)
     a *= a
-    a /= -2.0 * noise_var if noise_var else -1.0  # -d2 / (2 sigma^2), bit for bit
+    a /= -2.0 * noise_var  # -d2 / (2 sigma^2), bit for bit
     lo = a.max(axis=1)
-    if noise_var == 0:
-        return CLASS_BITS[lo.argmax(axis=0)]
     # classes whose score can reach the best lo: their upper end, lo + log 4
     # + 1e-9 + 2^-50 (|lo| + 2) with |lo| = -lo, is at least that lo
     rival = lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK >= lo.max(axis=0)

@@ -30,8 +30,11 @@ block), so its memory does not grow with the budget.  Per block, in order:
                  symbol); noise (F, 2, n)
 
 (`impairments.superposed_frames` and `impairments.time_offset_frames`.)
-The time MI draws through the same synthesizer one frame of one dimension
-at a time, which is its per-frame draw order: offset, two trains, noise.
+The MI batches draw through the same two.  Perfect and phase MI take
+their G phase offsets (0 alone, or the 20 `mutual_info.PHASE_OFFSETS`)
+as the G frames of `superposed_frames`, max(1, 2^14 // G) samples per
+offset at a time: indices (G, n), then noise (2, G, n).  The time MI
+draws one frame of one dimension at a time: offset, two trains, noise.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 from . import analysis, chain, mutual_info
 from .detection import build_hypotheses, ml_xor_bits, threshold_bits
 from .impairments import PulseShape, fold_phase, superposed_frames, time_offset_frames
+from .mapping import POINT_BITS
 
 COMMANDS = ("ber", "mi", "penalty", "chain")
 # |SNR| bound of ber and mi: noise variance 1e-30 to 1e30; at a few thousand
@@ -100,6 +104,12 @@ class ExperimentConfig:
             if not 0.0 <= self.offset_range <= 0.5:
                 raise ValueError("offset_range must be in [0, 0.5]")
         self.pulse()  # rolloff in [0, 1] and truncation >= 1, for every command
+        if self.command == "chain" or self.command != "penalty" and self.scenario != "time_unsync":
+            where = "chain" if self.command == "chain" else self.scenario
+            for name in ("rolloff", "truncation"):  # the pulse, which only these two read
+                if getattr(self, name) != getattr(ExperimentConfig, name):
+                    raise ValueError(f"{name} applies only to penalty and time_unsync, "
+                                     f"not {where}")
         self.chain_config()  # chain inputs, feasibility included, for every command
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -265,10 +275,10 @@ def _ber_perfect(cfg, snr_db, num_bits, rng):
     points = build_hypotheses((0.0,))  # levels 0 and +-2 per dimension
     err = 0
     for m in _blocks(nsym, 1):
-        r, truth = superposed_frames(points, m, 10.0 ** (-snr_db / 20.0), rng)
+        r, idx = superposed_frames(points, m, 10.0 ** (-snr_db / 20.0), rng)
         # the float view puts each sample's I and Q side by side, like its xor bits
         bits = threshold_bits(r.view(float), 1.0)
-        err += int(np.count_nonzero(bits != truth.reshape(1, -1)))
+        err += int(np.count_nonzero(bits != np.take(POINT_BITS, idx, axis=0).reshape(1, -1)))
     return err, 2 * nsym
 
 
@@ -280,9 +290,9 @@ def _ber_phase(cfg, snr_db, num_bits, rng):
     for f in _blocks(nframes, n):
         drawn = rng.uniform(-math.pi / 4, math.pi / 4, f).tolist()
         points = build_hypotheses(tuple(fold_phase(t)[0] for t in drawn))
-        r, truth = superposed_frames(points, n, math.sqrt(sigma2), rng)
+        r, idx = superposed_frames(points, n, math.sqrt(sigma2), rng)
         bits = ml_xor_bits(r.reshape(-1), points, sigma2)
-        err += int(np.count_nonzero(bits != truth.reshape(-1, 2)))
+        err += int(np.count_nonzero(bits != np.take(POINT_BITS, idx, axis=0).reshape(-1, 2)))
     return err, 2 * nframes * n
 
 
@@ -420,12 +430,6 @@ def run_chain(cfg: ExperimentConfig) -> str:
 # CSV output (utf-8, LF, '#' header comments)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -440,7 +444,7 @@ def write_ber_csv(path, cfg: ExperimentConfig, results):
         "snr_db,scenario,ber,num_bits,num_errors,seed",
     ]
     for r in results:
-        lines.append(f"{_fmt(r.snr_db)},{r.scenario},{_fmt(r.ber)},"
+        lines.append(f"{r.snr_db!r},{r.scenario},{r.ber!r},"
                      f"{r.num_bits},{r.num_errors},{r.seed}")
     _write_lines(path, lines)
 
@@ -453,7 +457,7 @@ def write_mi_csv(path, cfg: ExperimentConfig, estimates):
         "snr_db,scenario,mi_bits_per_dim,num_samples,num_workers,seed",
     ]
     for e in estimates:
-        lines.append(f"{_fmt(e.snr_db)},{e.scenario},{_fmt(e.mi_bits_per_dim)},"
+        lines.append(f"{e.snr_db!r},{e.scenario},{e.mi_bits_per_dim!r},"
                      f"{e.num_samples},{cfg.workers},{e.seed}")
     _write_lines(path, lines)
 
@@ -466,7 +470,7 @@ def write_penalty_csv(path, cfg: ExperimentConfig, curves, summary):
     ]
     for name, points in curves:
         for p, v in points:
-            lines.append(f"{name},{_fmt(p)},{_fmt(v)}")
+            lines.append(f"{name},{p!r},{v!r}")
     for key, val in summary.items():
-        lines.append(f"# {key} = {_fmt(val)}")
+        lines.append(f"# {key} = {val!r}")
     _write_lines(path, lines)

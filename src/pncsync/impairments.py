@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import POINT_BITS
-
 QUARTER = math.pi / 2
 _SING_TOL = 1e-9  # exact-hit window around removable singularities, in symbol periods
 
@@ -150,17 +148,19 @@ def superposed_frames(points: np.ndarray, n: int, sd: float, rng: np.random.Gene
     points is the (F, 4, 4) array of `build_hypotheses`, one constellation
     per frame.  Draws the (F, n) uint8 indices of the sent pairs into each
     frame's points, in the class-major layout of `mapping`, then the I
-    and Q noise (2, F, n), each N(0, sd^2).  Returns (r, xor bits):
-    complex (F, n) and int8 (F, n, 2).
+    and Q noise (2, F, n), each N(0, sd^2).  Returns (r, indices): the
+    complex (F, n) samples and the indices drawn, whose xor class is
+    index >> 2 and whose xor bits are `mapping.POINT_BITS[index]`.
     """
     frames = len(points)
     idx = rng.integers(0, 16, (frames, n), dtype=np.uint8)
+    # r before the noise: the noise then frees from the heap top, which the next block reuses
+    r = np.take_along_axis(points.reshape(frames, 16), idx, axis=1)
     noise = rng.standard_normal((2, frames, n))
     noise *= sd
-    r = np.take_along_axis(points.reshape(frames, 16), idx, axis=1)
     r.real += noise[0]
     r.imag += noise[1]
-    return r, np.take(POINT_BITS, idx, axis=0)
+    return r, idx
 
 
 def time_offset_frames(frames: int, dims: int, n: int, half_range: float, pulse: PulseShape,
@@ -181,12 +181,10 @@ def time_offset_frames(frames: int, dims: int, n: int, half_range: float, pulse:
     a = rng.integers(0, 2, (frames, dims, 2, n + 2 * L), dtype=np.int32)
     a <<= 1
     a -= 1
-    noise = rng.standard_normal((frames, dims, n))
-    r = np.empty((frames, dims, n))
+    r = rng.standard_normal((frames, dims, n))
+    r *= sd
     for f in range(frames):
         for d in range(dims):
-            r[f, d] = mid_offset_frame(a[f, d, 0], a[f, d, 1],
-                                       taps_early[f], taps_late[f])[L:L + n]
-    noise *= sd
-    r += noise
+            r[f, d] += mid_offset_frame(a[f, d, 0], a[f, d, 1],
+                                        taps_early[f], taps_late[f])[L:L + n]
     return taps_early, r, a[:, :, 0, L:L + n] != a[:, :, 1, L:L + n]

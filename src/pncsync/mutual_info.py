@@ -8,12 +8,15 @@ binary xor information is computed directly from the scalar mid-offset
 sample, the nearest neighbors' ISI marginalized as 81 distinct values
 weighted by multiplicity.
 
-Every Gaussian mixture is scored by `detection._log_mixture`, the
-kernel of the ML detector too, which shifts it by its nearest point so
-its log never meets 0 or an overflow at any SNR.  The work runs in
-blocks of a few hundred to a few thousand samples through one reused
-buffer, so memory stays bounded whatever the budget; the draws keep
-their order.
+The samples come from the BER synthesizers of `impairments`:
+`superposed_frames` for the 2-D estimators, with one frame per phase
+offset, and `time_offset_frames` for the time offset.  Every Gaussian
+mixture is scored by `detection._log_mixture`, the kernel of the ML
+detector too, which shifts it by its nearest point so its log never
+meets 0 or an overflow at any SNR.  The draws and the scoring run in
+chunks and blocks of a few hundred to a few tens of thousands of
+samples through one reused buffer, so memory stays bounded whatever the
+budget.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from .detection import _PAIR_W, _log_mixture, build_hypotheses
-from .impairments import PulseShape, time_offset_frames
+from .impairments import PulseShape, superposed_frames, time_offset_frames
 
 PHASE_GRID_POINTS = 20
 # Midpoint grid (k+1/2)/n * pi/4 of the phase_unsync average.  The constellation
@@ -31,7 +34,7 @@ PHASE_GRID_POINTS = 20
 PHASE_OFFSETS = (np.arange(PHASE_GRID_POINTS) + 0.5) / PHASE_GRID_POINTS * (math.pi / 4)
 PHASE_OFFSETS.setflags(write=False)
 _LOG2 = math.log(2.0)
-_CHUNK = 1 << 16  # samples per draw of the 2-D MI (part of the RNG stream)
+_CHUNK = 1 << 14  # samples per draw of the 2-D MI, across offsets (part of the RNG stream)
 _BLOCK = 2048  # samples per scoring block of the 2-D MI
 _TIME_BLOCK = 512  # samples per (81, .) scoring block of the time MI
 _ENUM_WINDOW = 2  # neighbors per side whose ISI the time-offset MI enumerates exactly
@@ -59,49 +62,41 @@ def mi_phase_unsync(snr_db: float, num_samples: int, rng: np.random.Generator) -
     """Average of mi_given_theta over PHASE_OFFSETS.
 
     num_samples is the total budget, split evenly across the grid.  The
-    offsets draw in grid order, as 20 mi_given_theta calls would, and
-    score together.
+    20 offsets are the frames of each `superposed_frames` draw (see
+    `_mi_offsets`) and score together.
     """
     per = max(1, num_samples // PHASE_GRID_POINTS)
     return float(np.mean(_mi_offsets(snr_db, tuple(PHASE_OFFSETS.tolist()), per, rng)))
 
 
 def _mi_offsets(snr_db, thetas, per, rng):
-    """mi_given_theta(snr_db, theta, per, rng) for each theta in turn, as a list.
+    """mi_given_theta(snr_db, theta, per, rng) of each theta, as a list.
 
-    Each offset draws its samples in chunks of at most _CHUNK: the pair
-    indices, then the I noise, then the Q noise.  Offsets whose budget
-    fits a scoring block are scored a group at a time; every per-sample
-    term and every per-chunk sum is the same whatever the grouping.
+    The offsets are the frames of one `superposed_frames` call per chunk
+    of at most _CHUNK samples across offsets (at least one per offset),
+    so each chunk draws the (G, n) pair indices, then the (2, G, n) I and
+    Q noise.  Each chunk is scored _BLOCK samples at a time and adds one
+    sum per offset.
     """
-    pts = build_hypotheses(thetas).reshape(len(thetas), 16)
+    points = build_hypotheses(thetas)
+    pts = points.reshape(len(thetas), 16)
     s2 = 10.0 ** (-snr_db / 10.0)
-    sd = math.sqrt(s2)
-    group = max(1, _BLOCK // per) if per <= _CHUNK else 1
-    buf = np.empty(2 * 16 * min(_BLOCK, per * len(thetas)))
-    totals = []
-    for first in range(0, len(thetas), group):
-        p = pts[first:first + group]
-        sums = [0.0] * len(p)
-        for start in range(0, per, _CHUNK):
-            n = min(_CHUNK, per - start)
-            draws = [(rng.integers(0, 16, n), rng.standard_normal(n), rng.standard_normal(n))
-                     for _ in p]
-            idx, re, im = (np.stack(a) for a in zip(*draws))
-            re *= sd
-            re += np.take_along_axis(p.real, idx, axis=1)
-            im *= sd
-            im += np.take_along_axis(p.imag, idx, axis=1)
-            cls = idx >> 2  # the xor class, in the class-major layout of `mapping`
-            terms = np.empty((len(p), n))
-            step = max(1, _BLOCK // len(p))
-            for a in range(0, n, step):
-                b = slice(a, a + step)
-                terms[:, b] = _log_ratio(re[:, b], im[:, b], cls[:, b], p, 0.5 / s2, buf)
-            for g in range(len(p)):
-                sums[g] += float(np.sum(terms[g])) / _LOG2 + n * 2.0
-        totals += [0.5 * s / per for s in sums]
-    return totals
+    chunk = max(1, _CHUNK // len(thetas))
+    step = max(1, _BLOCK // len(thetas))
+    buf = np.empty(32 * len(thetas) * min(step, per))
+    sums = [0.0] * len(thetas)
+    for start in range(0, per, chunk):
+        n = min(chunk, per - start)
+        r, idx = superposed_frames(points, n, math.sqrt(s2), rng)
+        re, im = np.ascontiguousarray(r.real), np.ascontiguousarray(r.imag)
+        cls = idx >> 2  # the xor class, in the class-major layout of `mapping`
+        terms = np.empty((len(thetas), n))
+        for a in range(0, n, step):
+            b = slice(a, a + step)
+            terms[:, b] = _log_ratio(re[:, b], im[:, b], cls[:, b], pts, 0.5 / s2, buf)
+        for g, t in enumerate(terms):
+            sums[g] += float(np.sum(t)) / _LOG2 + n * 2.0
+    return [0.5 * s / per for s in sums]
 
 
 def _class_log_densities(re, im, pts, scale, buf):

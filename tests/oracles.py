@@ -1,10 +1,11 @@
 """Test-only references: the paper's relay demap table and the scalar
 enumeration of the 16 superposed points, the full ML class scores, the
 brute-force minimum distance (criterion 09), the 2^8 sign patterns of the
-time-offset MI's window ISI, the max-shifted log-sum-exp densities and
-estimator of the MI kernels, the 2-D grid integrals of the phase-offset MI
-and ML BER, the characteristic-function inversion of the time-offset BER,
-and the horizontal SNR gaps read off BER and MI curves (criteria 07 and 08)."""
+time-offset MI's window ISI, the max-shifted log-sum-exp densities of the
+MI kernels and the 2-D MI estimator on hand-made draws, the 2-D grid
+integrals of the phase-offset MI and ML BER, the characteristic-function
+inversion of the time-offset BER, and the horizontal SNR gaps read off
+BER and MI curves (criteria 07 and 08)."""
 
 import cmath
 import itertools
@@ -60,9 +61,6 @@ def ml_class_scores(samples, points: np.ndarray, noise_var: float) -> np.ndarray
     r = np.atleast_1d(np.asarray(samples, dtype=complex))
     d2 = np.abs(r[None, :] - points.reshape(-1, 1)) ** 2
     d2 = d2.reshape(NUM_CLASSES, PAIRS_PER_CLASS, r.size)
-    if noise_var == 0:
-        # degenerate: likelihood concentrates on the nearest point
-        return -d2.min(axis=1).T
     return logsumexp(-d2 / (2.0 * noise_var), axis=1).T
 
 
@@ -157,28 +155,33 @@ def time_log_densities_by_logsumexp(r, level, atoms, log_w, veff):
             logsumexp(e1, axis=1) - log_patterns)
 
 
-def mi_given_theta_by_logsumexp(snr_db, theta, num_samples, rng, chunk=1 << 16):
-    """`mutual_info.mi_given_theta` as it was before its kernel was rewritten.
+def mi_offsets_by_logsumexp(snr_db, thetas, per, rng, chunk=1 << 14):
+    """`mutual_info._mi_offsets`: I(X; r)/2 at each offset of a tuple, as a list.
 
-    Per chunk of at most `chunk` samples it draws the pair indices, the I
-    noise and the Q noise, then averages log2 p(r | x) / p(r), both
-    densities by `scipy.special.logsumexp` (over a class's 4 exponents and
-    over all 16): the reference for the new kernel's values and for its
-    draw order.
+    The G offsets draw together as documented, in chunks of
+    max(1, chunk // G) samples per offset: per chunk the (G, n) uint8
+    pair indices into each offset's 16 class-major points, then the
+    (2, G, n) I and Q noise.  Drawn here by hand, not by
+    `superposed_frames`.  Each offset averages log2 p(r | x) / p(r),
+    both densities by `scipy.special.logsumexp` (over a class's 4
+    exponents and over all 16): the reference for the kernel's values
+    and for the draw order.
     """
-    pts = build_hypotheses((theta,))[0]
+    pts = build_hypotheses(tuple(thetas)).reshape(len(thetas), 16)
     s2 = 10.0 ** (-snr_db / 10.0)
-    total = 0.0
-    for start in range(0, num_samples, chunk):
-        n = min(chunk, num_samples - start)
-        idx = rng.integers(0, 16, n)
-        r = pts.reshape(-1)[idx] + math.sqrt(s2) * (rng.standard_normal(n)
-                                                   + 1j * rng.standard_normal(n))
-        e = -np.abs(r[None, :] - pts.reshape(-1, 1)) ** 2 / (2.0 * s2)
-        num = logsumexp(e.reshape(NUM_CLASSES, PAIRS_PER_CLASS, n), axis=1)[idx >> 2,
-                                                                           np.arange(n)]
-        total += float(np.sum(num - logsumexp(e, axis=0))) / math.log(2.0) + 2.0 * n
-    return 0.5 * total / num_samples
+    cols = max(1, chunk // len(thetas))
+    totals = [0.0] * len(thetas)
+    for start in range(0, per, cols):
+        n = min(cols, per - start)
+        idx = rng.integers(0, 16, (len(thetas), n), dtype=np.uint8)
+        noise = rng.standard_normal((2, len(thetas), n))
+        for g, p in enumerate(pts):
+            r = p[idx[g]] + math.sqrt(s2) * (noise[0, g] + 1j * noise[1, g])
+            e = -np.abs(r[None, :] - p[:, None]) ** 2 / (2.0 * s2)
+            num = logsumexp(e.reshape(NUM_CLASSES, PAIRS_PER_CLASS, n), axis=1)[idx[g] >> 2,
+                                                                               np.arange(n)]
+            totals[g] += float(np.sum(num - logsumexp(e, axis=0))) / math.log(2.0) + 2.0 * n
+    return [0.5 * t / per for t in totals]
 
 
 _WRONG_BITS = np.array([0, 1, 1, 2])  # popcount of the xor of two class indices

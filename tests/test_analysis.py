@@ -305,7 +305,7 @@ def _assert_every_offset_is_the_per_row_reduce(dt, ctx):
     assert differ.size == 0, (ctx, differ.size, dt[differ[:3]])
 
 
-# the three grids of `pnc penalty` in one call: 2,103 offsets, three blocks
+# the three grids of `pnc penalty` in one call: 2,103 offsets
 PENALTY_GRIDS = np.concatenate([np.linspace(-0.5, 0.5, 1001), np.linspace(0.0, 0.5, 1001),
                                 np.linspace(-0.5, 0.5, 101)])
 
@@ -313,8 +313,7 @@ PENALTY_GRIDS = np.concatenate([np.linspace(-0.5, 0.5, 1001), np.linspace(0.0, 0
 @pytest.mark.parametrize("rolloff", (0.0, 0.25, 0.5, 1.0))
 @pytest.mark.parametrize("L", (1, 16, 40))
 def test_isi_variance_is_the_per_row_reduce_at_every_offset(rolloff, L):
-    # sizes on both sides of the block of offsets that share one reduce
-    assert analysis._GRID_BLOCK == 1024
+    # grids up to twice the largest the program passes
     ctx = SinrContext(10.0, rolloff, L)
     for n in (0, 1, 2, 1023, 1024, 1025):
         _assert_every_offset_is_the_per_row_reduce(np.linspace(-0.5, 0.5, n), ctx)

@@ -84,8 +84,10 @@ def test_config_validation(tmp_path, capsys):
         for bad in (0, -4):
             with pytest.raises(ValueError, match="truncation"):
                 ExperimentConfig(command=command, truncation=bad, samples_per_point=1000)
-        for edge in (0.0, 1.0):
-            ExperimentConfig(command=command, rolloff=edge, truncation=1)
+    for edge in (0.0, 1.0):  # valid where the pulse is read
+        ExperimentConfig(command="penalty", rolloff=edge, truncation=1)
+        for command in ("ber", "mi"):
+            ExperimentConfig(command=command, scenario="time_unsync", rolloff=edge, truncation=1)
     for argv in (["ber", "--scenario", "perfect", "--rolloff", "7", "--snr-grid", "4"],
                  ["mi", "--scenario", "phase_unsync", "--rolloff", "-3", "--snr-grid", "4"],
                  ["penalty", "--rolloff", "1.5"]):
@@ -694,6 +696,35 @@ def test_config_file_workers_is_refused_where_there_are_no_batches(command, tmp_
         f"pnc {command}: error: workers applies only to ber and mi, not {command}"
     p.write_text("workers = 1\n", encoding="utf-8")
     assert cli_main([command, "--config", str(p), "--out", str(tmp_path / "o.txt")]) == 0
+
+
+@pytest.mark.parametrize("command, scenario", [("ber", "perfect"), ("ber", "phase_unsync"),
+                                               ("mi", "perfect"), ("mi", "phase_unsync"),
+                                               ("chain", "perfect")])
+def test_pulse_is_refused_where_no_pulse_is_read(command, scenario):
+    # only penalty and time_unsync read the pulse; elsewhere it would be ignored
+    where = "chain" if command == "chain" else scenario
+    for name, value in (("rolloff", 0.3), ("rolloff", 0.0), ("truncation", 8)):
+        with pytest.raises(ValueError, match=f"^{name} applies only to penalty and "
+                                              f"time_unsync, not {where}$"):
+            ExperimentConfig(command=command, scenario=scenario, **{name: value})
+    ExperimentConfig(command=command, scenario=scenario, rolloff=0.5, truncation=16)
+
+
+def test_cli_pulse_is_refused_where_no_pulse_is_read(tmp_path, capsys):
+    assert cli_usage_error(["mi", "--scenario", "phase_unsync", "--rolloff", "0.9"], capsys) \
+        == "pnc mi: error: rolloff applies only to penalty and time_unsync, not phase_unsync"
+    assert cli_usage_error(["ber", "--scenario", "perfect", "--rolloff", "0.3"], capsys) \
+        == "pnc ber: error: rolloff applies only to penalty and time_unsync, not perfect"
+    p = tmp_path / "f.cfg"
+    p.write_text("rolloff = 0.35\n", encoding="utf-8")
+    assert cli_usage_error(["chain", "--config", str(p)], capsys) \
+        == "pnc chain: error: rolloff applies only to penalty and time_unsync, not chain"
+    # where the pulse is read, the same values run
+    for argv in (["penalty", "--config", str(p)],
+                 ["mi", "--scenario", "time_unsync", "--config", str(p), "--snr-grid", "4",
+                  "--samples", "1000", "--frame-length", "100"]):
+        assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_cli_parser_carries_no_state_between_calls(tmp_path, capsys):

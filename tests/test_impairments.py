@@ -406,7 +406,7 @@ def test_frames_follow_the_documented_draw_order():
     frames, n, sd, thetas, x = 3, 50, 0.4, (0.3, -0.7, 0.0), 0.25
     points = build_hypotheses(thetas)
     rng = np.random.default_rng(62)
-    r, bits = superposed_frames(points, n, sd, rng)
+    r, drawn = superposed_frames(points, n, sd, rng)
     taps, rt, xt = time_offset_frames(frames, 2, n, x, PULSE, sd, rng)
 
     ref = np.random.default_rng(62)
@@ -416,7 +416,7 @@ def test_frames_follow_the_documented_draw_order():
     s1, s3 = np.array(QPSK)[j], np.array(QPSK)[j ^ c]
     rot = np.exp(1j * np.array(thetas))[:, None]
     assert np.allclose(r, s1 + s3 * rot + sd * (noise[0] + 1j * noise[1]), rtol=0, atol=1e-12)
-    assert np.array_equal(bits, np.stack([c >> 1, c & 1], axis=-1))
+    assert drawn.dtype == np.uint8 and np.array_equal(drawn, idx)  # what was drawn is returned
     dt = ref.uniform(-x, x, frames)
     a = ref.integers(0, 2, (frames, 2, 2, n + 32), dtype=np.int32) * 2 - 1
     noise = ref.standard_normal((frames, 2, n))
@@ -450,9 +450,9 @@ def test_one_time_frame_is_the_per_frame_draw_bit_for_bit():
 
 def test_noiseless_frames_carry_the_true_xor():
     # theta = 0: levels {-2, 0, 2} per dimension, demapped by the relay rule
-    r, bits = superposed_frames(build_hypotheses((0.0,)), 400, 0.0, np.random.default_rng(63))
-    for v, (bi, bq) in zip(r[0], bits[0]):
-        assert pnc_xor_of_levels(v) == (bi, bq)
+    r, idx = superposed_frames(build_hypotheses((0.0,)), 400, 0.0, np.random.default_rng(63))
+    for v, c in zip(r[0], (idx[0] >> 2).tolist()):  # index 4c + j is a pair of xor class c
+        assert pnc_xor_of_levels(v) == (c >> 1, c & 1)
     # dt = 0: levels {-1, 0, 1}, and level 0 exactly where the trains differ
     _, rt, xt = time_offset_frames(2, 2, 400, 0.0, PULSE, 0.0, np.random.default_rng(64))
     levels = np.rint(rt)
