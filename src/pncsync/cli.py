@@ -10,53 +10,54 @@ from pathlib import Path
 from . import harness
 
 
-def _common(sub):
-    sub.set_defaults(usage_error=sub.error)  # names this subcommand's usage
-    sub.add_argument("--config", help="flat key=value config file")
-    # penalty and chain draw nothing; they keep --seed, which the benchmark passes to all
-    sub.add_argument("--seed", dest="master_seed", type=int, help="master RNG seed")
-    sub.add_argument("--out", dest="output_path", help="output file path")
+_COMMAND_HELP = {
+    "ber": "Monte-Carlo xor BER at the relay",
+    "mi": "Monte-Carlo mutual information at the relay",
+    "penalty": "closed-form penalty curves and summary",
+    "chain": "N-node chain synchronization plan",
+}
+# flag and argparse options of each ExperimentConfig field but truncation (a
+# config-file key only); `harness.reads` says which commands offer it
+_FLAGS = {
+    "master_seed": ("--seed", dict(type=int, help="master RNG seed")),
+    "output_path": ("--out", dict(help="output file path")),
+    "scenario": ("--scenario", dict(choices=harness.SCENARIOS)),
+    "workers": ("--workers", dict(type=int, help="batches per SNR point, run in turn, not in "
+                                  "parallel; each rounds its share of --samples up to whole "
+                                  "frames")),
+    "snr_grid_db": ("--snr-grid", dict(help="'start:stop[:step]' or a comma or space list, dB")),
+    "samples_per_point": ("--samples", dict(type=int,
+                                            help="bits (ber) or samples (mi) per SNR point")),
+    "offset_range": ("--offset-range", dict(type=float,
+                                            help="time-offset half-range x, dt/T in [-x, x]")),
+    "rolloff": ("--rolloff", dict(type=float)),
+    "frame_length": ("--frame-length", dict(type=int)),
+    "chain_nodes": ("--nodes", dict(type=int)),
+    "chain_bg_time": ("--bg-time", dict(type=float, help="per-group sync time, s")),
+    "chain_period": ("--period", dict(type=float, help="resynchronization period, s")),
+    "chain_local_errors": ("--errors", dict(help="local error triple 'theta,freq,time'")),
+    "chain_halved": ("--halved", dict(action="store_true", default=None,
+                                      help="also report the combined-sub-phase ts/2 estimate")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The `pnc` parser; each option's dest is the ExperimentConfig field it sets."""
+    """The `pnc` parser; each option's dest is the ExperimentConfig field it sets.
+
+    A subcommand offers a field's flag when it or one of its scenarios reads the field.
+    """
     ap = argparse.ArgumentParser(
         prog="pnc",
         description="Synchronization-error experiments for physical-layer "
                     "network coding on a two-way relay")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    for cmd, blurb in (("ber", "Monte-Carlo xor BER at the relay"),
-                       ("mi", "Monte-Carlo mutual information at the relay")):
+    for cmd, blurb in _COMMAND_HELP.items():
         sub = sp.add_parser(cmd, help=blurb)
-        _common(sub)
-        sub.add_argument("--scenario", choices=harness.SCENARIOS)
-        sub.add_argument("--workers", type=int, help="batches per SNR point, run in turn, not "
-                         "in parallel; each rounds its share of --samples up to whole frames")
-        sub.add_argument("--snr-grid", dest="snr_grid_db",
-                         help="'start:stop[:step]' or a comma or space list, dB")
-        sub.add_argument("--samples", dest="samples_per_point", type=int,
-                         help="bits (ber) or samples (mi) per SNR point")
-        sub.add_argument("--offset-range", type=float,
-                         help="time-offset half-range x, dt/T in [-x, x]")
-        sub.add_argument("--rolloff", type=float)
-        sub.add_argument("--frame-length", type=int)
-
-    sub = sp.add_parser("penalty", help="closed-form penalty curves and summary")
-    _common(sub)
-    sub.add_argument("--rolloff", type=float)
-
-    sub = sp.add_parser("chain", help="N-node chain synchronization plan")
-    _common(sub)
-    sub.add_argument("--nodes", dest="chain_nodes", type=int)
-    sub.add_argument("--bg-time", dest="chain_bg_time", type=float,
-                     help="per-group sync time, s")
-    sub.add_argument("--period", dest="chain_period", type=float,
-                     help="resynchronization period, s")
-    sub.add_argument("--errors", dest="chain_local_errors",
-                     help="local error triple 'theta,freq,time'")
-    sub.add_argument("--halved", dest="chain_halved", action="store_true", default=None,
-                     help="also report the combined-sub-phase ts/2 estimate")
+        sub.set_defaults(usage_error=sub.error)  # names this subcommand's usage
+        sub.add_argument("--config", help="flat key=value config file")
+        for name, (flag, options) in _FLAGS.items():
+            if harness.reads(name, cmd):
+                sub.add_argument(flag, dest=name, **options)
     return ap
 
 

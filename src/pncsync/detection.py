@@ -116,15 +116,23 @@ def ml_xor_bits(samples, points: np.ndarray, noise_var: float) -> np.ndarray:
                            for f in range(0, len(points), step)])
 
 
+def _class_lo(d, noise_var):
+    """Each class's largest exponent -d^2 / (2 sigma^2) of (4, 4, m) distances d.
+
+    x -> fl(fl(x x) / (-2 sigma^2)) is monotone: the smallest distance gives it, bit for bit.
+    """
+    return d.min(axis=1) ** 2 / (-2.0 * noise_var)
+
+
 def _ml_frames(r, points, noise_var):
     """`ml_xor_bits` of the (F, n) samples r of frames with (F, 4, 4) points."""
-    a = np.empty((NUM_CLASSES, PAIRS_PER_CLASS) + r.shape)
+    pts = np.ascontiguousarray(points.transpose(1, 2, 0)[..., None])  # (4, 4, F, 1)
+    d = np.empty((NUM_CLASSES, PAIRS_PER_CLASS) + r.shape)
+    diff = np.empty((PAIRS_PER_CLASS,) + r.shape, dtype=complex)
     for c in range(NUM_CLASSES):
-        np.abs(r - points[:, c, :, None].swapaxes(0, 1), out=a[c])
-    a = a.reshape(NUM_CLASSES, PAIRS_PER_CLASS, -1)
-    a *= a
-    a /= -2.0 * noise_var  # -d2 / (2 sigma^2), bit for bit
-    lo = a.max(axis=1)
+        np.abs(np.subtract(r, pts[c], out=diff), out=d[c])
+    d = d.reshape(NUM_CLASSES, PAIRS_PER_CLASS, -1)
+    lo = _class_lo(d, noise_var)
     # classes whose score can reach the best lo: their upper end, lo + log 4
     # + 1e-9 + 2^-50 (|lo| + 2) with |lo| = -lo, is at least that lo
     rival = lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK >= lo.max(axis=0)
@@ -132,6 +140,7 @@ def _ml_frames(r, points, noise_var):
     bits = np.stack([rival[2] | rival[3], rival[1] | rival[3]], axis=1).view(np.int8)
     undecided = np.flatnonzero(rival.sum(axis=0) > 1)
     if undecided.size:
-        scores = _log_mixture(-a[:, :, undecided], _PAIR_W, 1.0)  # lo exactly as its shift
+        # -a = d^2 / (2 sigma^2) bit for bit, so the kernel's shift is -lo exactly
+        scores = _log_mixture(d[:, :, undecided] ** 2 / (2.0 * noise_var), _PAIR_W, 1.0)
         bits[undecided] = CLASS_BITS[scores.argmax(axis=0)]
     return bits

@@ -56,13 +56,39 @@ COMMANDS = ("ber", "mi", "penalty", "chain")
 MAX_ABS_SNR_DB = 300.0
 _MAX_GRID_POINTS = 10_000  # points of an SNR range
 
+_BER_MI = ("ber", "mi")  # the commands that run a scenario
+# ExperimentConfig field -> the commands and scenarios that read it.  A field
+# away from its default where its command and scenario do not read it is
+# refused, and `pnc` offers its flag only on the commands that read it.
+READERS = {
+    **dict.fromkeys(("command", "output_path"), COMMANDS),
+    # penalty and chain draw nothing, but bench/worker.py passes --seed to
+    # every invocation of bench/workloads.py
+    "master_seed": COMMANDS,
+    **dict.fromkeys(("scenario", "snr_grid_db", "samples_per_point", "workers"), _BER_MI),
+    # perfect BER and perfect and phase MI read no frames, but the short_frames
+    # workload of bench/workloads.py passes them --frame-length 100
+    "frame_length": _BER_MI,
+    "offset_range": ("time_unsync",),
+    **dict.fromkeys(("rolloff", "truncation"), ("penalty", "time_unsync")),
+    **dict.fromkeys(("chain_nodes", "chain_bg_time", "chain_period", "chain_local_errors",
+                     "chain_halved"), ("chain",)),
+}
+
+
+def reads(name: str, command: str, scenario: str | None = None) -> bool:
+    """Whether `command` on `scenario` (on any of its scenarios if None) reads field `name`."""
+    readers = READERS[name]
+    scenarios = SCENARIOS if scenario is None else (scenario,)
+    return command in readers or command in _BER_MI and any(s in readers for s in scenarios)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str = "ber"
     scenario: str = "perfect"
     snr_grid_db: tuple = tuple(float(s) for s in range(0, 13))
-    offset_range: float | None = None   # time_unsync half-range x (dt/T in [-x, x])
+    offset_range: float = 0.5           # time_unsync half-range x (dt/T in [-x, x])
     samples_per_point: int = 100_000    # bits for ber, samples for mi
     rolloff: float = 0.5
     truncation: int = 16
@@ -90,40 +116,31 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        if self.command in ("ber", "mi"):
+        if self.command in _BER_MI:
             if self.samples_per_point < 1000:
                 raise ValueError("samples_per_point must be >= 1000 for statistical commands")
             far = [s for s in grid if abs(s) > MAX_ABS_SNR_DB]
             if far:
                 raise ValueError(f"snr_grid_db must lie within +-{MAX_ABS_SNR_DB:g} dB, "
                                  f"got {far[0]!r}")
-        if self.offset_range is not None:
-            if self.scenario != "time_unsync":
-                raise ValueError(f"offset_range applies only to time_unsync, "
-                                 f"not {self.scenario}")
-            if not 0.0 <= self.offset_range <= 0.5:
-                raise ValueError("offset_range must be in [0, 0.5]")
-        self.pulse()  # rolloff in [0, 1] and truncation >= 1, for every command
-        if self.command == "chain" or self.command != "penalty" and self.scenario != "time_unsync":
-            where = "chain" if self.command == "chain" else self.scenario
-            for name in ("rolloff", "truncation"):  # the pulse, which only these two read
-                if getattr(self, name) != getattr(ExperimentConfig, name):
-                    raise ValueError(f"{name} applies only to penalty and time_unsync, "
-                                     f"not {where}")
-        self.chain_config()  # chain inputs, feasibility included, for every command
+        if not 0.0 <= self.offset_range <= 0.5:
+            raise ValueError("offset_range must be in [0, 0.5]")
+        self.pulse()  # rolloff in [0, 1] and truncation >= 1
+        self.chain_config()  # chain inputs, feasibility included
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.workers != 1 and self.command not in ("ber", "mi"):
-            raise ValueError(f"workers applies only to ber and mi, not {self.command}")
         if self.frame_length < 1:
             raise ValueError("frame_length must be >= 1")
-
-    def effective_offset_range(self) -> float:
-        if self.offset_range is None:
-            return 0.5
-        return self.offset_range
+        for f in fields(self):  # then every value a run would ignore
+            if getattr(self, f.name) != f.default and \
+                    not reads(f.name, self.command, self.scenario):
+                readers = READERS[f.name]
+                # a field some scenario reads is refused by the scenario, else by the command
+                by_scenario = self.command in _BER_MI and not set(readers) <= set(COMMANDS)
+                raise ValueError(f"{f.name} applies only to {' and '.join(readers)}, "
+                                 f"not {self.scenario if by_scenario else self.command}")
 
     def pulse(self) -> PulseShape:
         return PulseShape(self.rolloff, self.truncation)
@@ -304,8 +321,7 @@ def _ber_time(cfg, snr_db, num_bits, rng):
     err = 0
     for f in _blocks(nframes, n):
         # independent I and Q streams, same offset per frame
-        taps, r, truth = time_offset_frames(f, 2, n, cfg.effective_offset_range(), pulse,
-                                            sd_half, rng)
+        taps, r, truth = time_offset_frames(f, 2, n, cfg.offset_range, pulse, sd_half, rng)
         scale = 0.5 * taps[:, pulse.truncation_symbols, None, None]  # half of p(dt/2)
         err += int(np.count_nonzero(threshold_bits(r, scale) != truth))
     return err, 2 * nframes * n
@@ -322,7 +338,7 @@ def _mi_phase(cfg, snr_db, num_samples, rng):
 
 def _mi_time(cfg, snr_db, num_samples, rng):
     n = max(1, math.ceil(num_samples / cfg.frame_length)) * cfg.frame_length
-    mi = mutual_info.mi_time_unsync(snr_db, cfg.effective_offset_range(), num_samples, rng,
+    mi = mutual_info.mi_time_unsync(snr_db, cfg.offset_range, num_samples, rng,
                                     cfg.pulse(), cfg.frame_length)
     return mi * n, n
 
@@ -339,7 +355,7 @@ SCENARIOS = tuple(_SCENARIOS)
 def scenario_label(cfg: ExperimentConfig) -> str:
     """Scenario column of the result rows; time_unsync carries its range."""
     if cfg.scenario == "time_unsync":
-        return f"time_unsync_x{cfg.effective_offset_range():g}"
+        return f"time_unsync_x{cfg.offset_range:g}"
     return cfg.scenario
 
 
@@ -438,7 +454,7 @@ def _write_lines(path, lines):
 def write_ber_csv(path, cfg: ExperimentConfig, results):
     lines = [
         "# figure: ber-vs-snr-sync-comparison",
-        f"# scenario={cfg.scenario} offset_range={cfg.effective_offset_range()!r} "
+        f"# scenario={cfg.scenario} offset_range={cfg.offset_range!r} "
         f"samples_per_point={cfg.samples_per_point} workers={cfg.workers} "
         f"seed={cfg.master_seed}",
         "snr_db,scenario,ber,num_bits,num_errors,seed",
@@ -452,7 +468,7 @@ def write_ber_csv(path, cfg: ExperimentConfig, results):
 def write_mi_csv(path, cfg: ExperimentConfig, estimates):
     lines = [
         "# figure: mutual-information-vs-snr-sync-comparison",
-        f"# scenario={cfg.scenario} offset_range={cfg.effective_offset_range()!r} "
+        f"# scenario={cfg.scenario} offset_range={cfg.offset_range!r} "
         f"samples_per_point={cfg.samples_per_point} seed={cfg.master_seed}",
         "snr_db,scenario,mi_bits_per_dim,num_samples,num_workers,seed",
     ]

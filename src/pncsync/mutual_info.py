@@ -75,27 +75,29 @@ def _mi_offsets(snr_db, thetas, per, rng):
     The offsets are the frames of one `superposed_frames` call per chunk
     of at most _CHUNK samples across offsets (at least one per offset),
     so each chunk draws the (G, n) pair indices, then the (2, G, n) I and
-    Q noise.  Each chunk is scored _BLOCK samples at a time and adds one
-    sum per offset.
+    Q noise.  Each chunk is scored in ceil(G n / _BLOCK) blocks of
+    near-equal column counts, adds one sum per offset and is freed
+    before the next draw.
     """
     points = build_hypotheses(thetas)
     pts = points.reshape(len(thetas), 16)
     s2 = 10.0 ** (-snr_db / 10.0)
     chunk = max(1, _CHUNK // len(thetas))
-    step = max(1, _BLOCK // len(thetas))
-    buf = np.empty(32 * len(thetas) * min(step, per))
+    # a block has at most ceil(_BLOCK / G) columns, and no more than the chunk
+    buf = np.empty(32 * len(thetas) * min(-(-_BLOCK // len(thetas)), per))
     sums = [0.0] * len(thetas)
     for start in range(0, per, chunk):
         n = min(chunk, per - start)
         r, idx = superposed_frames(points, n, math.sqrt(s2), rng)
-        re, im = np.ascontiguousarray(r.real), np.ascontiguousarray(r.imag)
         cls = idx >> 2  # the xor class, in the class-major layout of `mapping`
         terms = np.empty((len(thetas), n))
-        for a in range(0, n, step):
-            b = slice(a, a + step)
-            terms[:, b] = _log_ratio(re[:, b], im[:, b], cls[:, b], pts, 0.5 / s2, buf)
+        blocks = -(-len(thetas) * n // _BLOCK)
+        for k in range(blocks):
+            b = slice(k * n // blocks, (k + 1) * n // blocks)
+            terms[:, b] = _log_ratio(r.real[:, b], r.imag[:, b], cls[:, b], pts, 0.5 / s2, buf)
         for g, t in enumerate(terms):
             sums[g] += float(np.sum(t)) / _LOG2 + n * 2.0
+        del r, idx, cls, terms
     return [0.5 * s / per for s in sums]
 
 

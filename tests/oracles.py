@@ -4,7 +4,7 @@ brute-force minimum distance (criterion 09), the 2^8 sign patterns of the
 time-offset MI's window ISI, the max-shifted log-sum-exp densities of the
 MI kernels and the 2-D MI estimator on hand-made draws, the 2-D grid
 integrals of the phase-offset MI and ML BER, the characteristic-function
-inversion of the time-offset BER, and the horizontal SNR gaps read off
+inversions of the time-offset BER and MI, and the horizontal SNR gaps read off
 BER and MI curves (criteria 07 and 08)."""
 
 import cmath
@@ -293,6 +293,46 @@ def time_ber(snr_db, half_range, pulse, nodes=16):
 
         p[i] = 1.5 * tail(level / 2) - 0.5 * tail(1.5 * level)
     return w, p
+
+
+def time_mi(snr_db, half_range, pulse, nodes=16, points=4096, period=16.0):
+    """Per-dimension xor information of the time-offset channel, by inversion.
+
+    Given the offset dt, a mid-offset sample is (a1 + a3)/2 * p + Z, with
+    p = p(dt/2) and Z the ISI of the 2 x 2L non-centre taps of `isi_taps`
+    plus N(0, s^2) noise, s = 10^(-snr/20) / 2, whose characteristic
+    function phi(w) = exp(-s^2 w^2 / 2) prod_j cos(h_j w / 2) is the one
+    `time_ber` inverts.  The density of Z on [-T/2, T/2] is the Fourier
+    series f(z) = (1 + 2 sum_k phi(w_k) cos(w_k z)) / T, w_k = 2 pi k / T
+    (T = `period`, far past |Z| here; the series stops where
+    exp(-s^2 w^2 / 2) < 1e-20).  Then p(r | xor 0) = (f(r - p) + f(r + p))/2
+    and p(r | xor 1) = f(r), and I(dt) = (1/2) sum_x int p(r | x)
+    log2(p(r | x) / p(r)) dr is a midpoint sum on `points` r values.  I is
+    even in dt, so dt runs over `nodes` Gauss-Legendre nodes on [0, x].
+    This is the information of the true channel, sample by sample; it
+    shares nothing with `mutual_info` (whose window-plus-Gaussian-tail
+    densities are a mismatched decoder of the same channel).
+    """
+    s = 10.0 ** (-snr_db / 20.0) / 2.0
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    _, te, tl = isi_taps(tuple((half_range / 2 * (x + 1.0)).tolist()), pulse)
+    step = 2 * math.pi / period
+    omega = np.arange(1, math.ceil(math.sqrt(2 * 46.0) / s / step) + 1) * step
+    L = pulse.truncation_symbols
+    isi = np.concatenate([np.delete(te, L, axis=1), np.delete(tl, L, axis=1)], axis=1)
+    phi = (np.exp(-0.5 * (s * omega) ** 2)
+           * np.prod(np.cos(0.5 * omega[None, :, None] * isi[:, None, :]), axis=2))
+    r = (np.arange(points) + 0.5) * (period / points) - period / 2
+    waves = np.cos(np.outer(omega, r))
+    f1 = (1.0 + 2.0 * phi @ waves) / period  # f(r); f(r - p) + f(r + p) pairs the cosines
+    f0 = (1.0 + 2.0 * (phi * np.cos(omega * te[:, L, None])) @ waves) / period
+    mix = 0.5 * (f0 + f1)
+    info = np.zeros(nodes)
+    for fx in (f0, f1):
+        ok = (fx > 0) & (mix > 0)  # the series' rounding-level ripple far out is dropped
+        ratio = np.where(ok, fx, 1.0) / np.where(ok, mix, 1.0)
+        info += 0.5 * np.sum(np.where(ok, fx * np.log2(ratio), 0.0), axis=1) * (period / points)
+    return float(np.sum(wt / 2.0 * info))
 
 
 def snr_at_level(snrs, values, level, log_scale=False):

@@ -39,7 +39,7 @@ def _report(num, ok, detail):
     return ok
 
 
-def _ber_curve(scenario, grid, bits, offset=None, seed=SEED):
+def _ber_curve(scenario, grid, bits, offset=0.5, seed=SEED):
     cfg = ExperimentConfig(command="ber", scenario=scenario, snr_grid_db=grid,
                            samples_per_point=bits, offset_range=offset,
                            master_seed=seed)
@@ -68,7 +68,7 @@ def mi_curves():
     t0 = time.time()
     grid = tuple(float(s) for s in range(0, 15))
 
-    def curve(scenario, offset=None):
+    def curve(scenario, offset=0.5):
         cfg = ExperimentConfig(command="mi", scenario=scenario, snr_grid_db=grid,
                                samples_per_point=100_000, offset_range=offset,
                                master_seed=SEED)

@@ -276,6 +276,12 @@ def test_isi_variance_array_is_the_scalar_call_bit_for_bit(rolloff):
         ctx = SinrContext(10.0, rolloff, L)
         for grid in GRIDS:
             _assert_grid_matches(isi_variance, _oracle_isi_variance, ctx, grid)
+        # the centre column of each penalty grid's taps is p(dt/2), bit for bit
+        for grid in GRIDS + (np.linspace(-0.5, 0.5, 101),):
+            lags, te, tl = _mid_offset_taps(grid, ctx.pulse())
+            p = analysis.raised_cosine(grid / 2, rolloff)
+            assert _bits(te[:, lags == 0][:, 0]).tolist() == _bits(p).tolist()
+            assert _bits(tl[:, lags == 0][:, 0]).tolist() == _bits(p).tolist()
 
 
 @pytest.mark.parametrize("rolloff", ALL_ROLLOFFS)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp  # oracle of the mixture kernel
 
-from pncsync.detection import (_PAIR_W, _SCORE_SLACK, _log_mixture, build_hypotheses,
-                               ml_xor_bits, threshold_bits)
+from pncsync.detection import (_PAIR_W, _SCORE_SLACK, _class_lo, _log_mixture,
+                               build_hypotheses, ml_xor_bits, threshold_bits)
 from pncsync.mapping import qpsk_modulate
 from pncsync.mutual_info import _ISI_W
 from pncsync import analysis
@@ -330,6 +330,22 @@ def test_class_scores_lie_in_the_screens_bracket(kind, scale, noise_var, seed):
     assert score.shape == lo.shape
     assert np.all(lo <= score)
     assert np.all(score <= lo * (1.0 - 2.0 ** -50) + _SCORE_SLACK)
+
+
+@given(EXPONENT_KINDS, EXPONENT_SCALES, st.floats(-300.0, 1.0).map(lambda x: 10.0 ** x),
+       st.integers(0, 2**32 - 1))
+@example("near_ulp", 1.0, 0.5, 3)
+@example("all_equal", 1e-3, 1e-300, 1)
+def test_class_lo_is_the_largest_scaled_square_bit_for_bit(kind, scale, noise_var, seed):
+    # the screen squares each class's smallest distance only; the largest of
+    # its four exponents fl(fl(d d) / (-2 sigma^2)) must be that, to the bit
+    d = np.sqrt(exponent_magnitudes(kind, scale, 64, np.random.default_rng(seed)))
+    if kind == "near_ulp":  # distances, not only their squares, an ulp or a few apart
+        d[:] = d[:1, :1] * (1.0 + np.random.default_rng(seed).integers(-4, 5, d.shape)
+                            * 2.0 ** -52)
+    with np.errstate(over="ignore"):  # -inf at the largest scales, on both sides
+        want = (d * d / (-2.0 * noise_var)).max(axis=1)
+        assert _class_lo(d, noise_var).tobytes() == want.tobytes()
 
 
 def assert_close_to_scipy(d2, weights, scale):

@@ -19,6 +19,7 @@ from pncsync.harness import (BerResult, ExperimentConfig, _parse_grid, config_fr
                              parse_config_file, penalty_summary, run_ber, run_chain, run_mi,
                              run_penalty, scenario_label)
 from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level, time_ber
+from test_traced_workloads import workloads as bench_workloads
 
 
 def qfunc(x):
@@ -74,8 +75,10 @@ def test_config_validation(tmp_path, capsys):
             with pytest.raises(ValueError, match="only to time_unsync"):
                 ExperimentConfig(command=command, scenario=scenario, offset_range=0.2)
     ExperimentConfig(scenario="time_unsync", offset_range=0.2)
-    # penalty/chain commands are not statistical; small samples allowed
-    ExperimentConfig(command="penalty", samples_per_point=1)
+    # penalty and chain draw no samples, so they refuse a sample budget
+    with pytest.raises(ValueError, match="^samples_per_point applies only to ber and mi, "
+                                         "not penalty$"):
+        ExperimentConfig(command="penalty", samples_per_point=1)
     # the pulse is range-checked for every command and scenario
     for command in harness.COMMANDS:
         for bad in (7.0, -3.0, 1.5, math.nan):
@@ -126,21 +129,25 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_config_file_reads_back_every_field(tmp_path):
-    # every field away from its default, so a field whose annotation has no
-    # parser, or that the file cannot set, fails here
-    cfg = ExperimentConfig(command="mi", scenario="time_unsync", snr_grid_db=(1.5, 3.0),
-                           offset_range=0.25, samples_per_point=5000, rolloff=0.35,
-                           truncation=8, master_seed=7, workers=3, output_path="out/mi.csv",
-                           frame_length=200, chain_nodes=6, chain_bg_time=0.5,
-                           chain_period=50.0, chain_local_errors=(0.2, 0.01, 0.002),
-                           chain_halved=True)
+    # per command, every field it reads away from its default, so a field whose
+    # annotation has no parser, or that the file cannot set, fails here
+    away = dict(scenario="time_unsync", snr_grid_db=(1.5, 3.0), offset_range=0.25,
+                samples_per_point=5000, rolloff=0.35, truncation=8, master_seed=7, workers=3,
+                output_path="out/mi.csv", frame_length=200, chain_nodes=6, chain_bg_time=0.5,
+                chain_period=50.0, chain_local_errors=(0.2, 0.01, 0.002), chain_halved=True)
     default = ExperimentConfig()
-    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
-    p = tmp_path / "all.cfg"
-    p.write_text("".join(f"{f.name} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
-                         for f in fields(cfg) for v in [getattr(cfg, f.name)]),
-                 encoding="utf-8")
-    assert config_from_file(p) == cfg
+    for command in harness.COMMANDS:
+        cfg = ExperimentConfig(command=command, **{k: v for k, v in away.items()
+                                                   if harness.reads(k, command, "time_unsync")})
+        assert [f.name for f in fields(cfg) if f.name != "command"
+                and harness.reads(f.name, command)
+                and getattr(cfg, f.name) == getattr(default, f.name)] == []
+        p = tmp_path / f"{command}.cfg"
+        p.write_text("".join(f"{f.name} = "
+                             f"{' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                             for f in fields(cfg) for v in [getattr(cfg, f.name)]),
+                     encoding="utf-8")
+        assert config_from_file(p) == cfg
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -725,6 +732,77 @@ def test_cli_pulse_is_refused_where_no_pulse_is_read(tmp_path, capsys):
                  ["mi", "--scenario", "time_unsync", "--config", str(p), "--snr-grid", "4",
                   "--samples", "1000", "--frame-length", "100"]):
         assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_every_field_has_one_reader_entry():
+    assert sorted(harness.READERS) == sorted(f.name for f in fields(ExperimentConfig))
+    for name, readers in harness.READERS.items():
+        assert readers and set(readers) <= set(harness.COMMANDS + harness.SCENARIOS), name
+
+
+# config-file keys a command reads neither itself nor through its scenario
+_IGNORED_KEYS = {
+    "penalty-scenario": ("penalty", "scenario = time_unsync", "scenario", "ber and mi"),
+    "penalty-offset_range": ("penalty", "offset_range = 0.2", "offset_range", "time_unsync"),
+    "penalty-snr_grid_db": ("penalty", "snr_grid_db = 0:3", "snr_grid_db", "ber and mi"),
+    "penalty-frame_length": ("penalty", "frame_length = 7", "frame_length", "ber and mi"),
+    "penalty-samples_per_point": ("penalty", "samples_per_point = 5000", "samples_per_point",
+                                  "ber and mi"),
+    # all four at once: the first in field order is named
+    "penalty-four_keys": ("penalty", "frame_length = 7\nsnr_grid_db = 0:3\noffset_range = 0.2\n"
+                          "scenario = time_unsync", "scenario", "ber and mi"),
+    "chain-scenario": ("chain", "scenario = phase_unsync", "scenario", "ber and mi"),
+    "chain-offset_range": ("chain", "offset_range = 0", "offset_range", "time_unsync"),
+    "chain-snr_grid_db": ("chain", "snr_grid_db = 4", "snr_grid_db", "ber and mi"),
+    "chain-frame_length": ("chain", "frame_length = 100", "frame_length", "ber and mi"),
+    "chain-samples_per_point": ("chain", "samples_per_point = 1", "samples_per_point",
+                                "ber and mi"),
+    "ber-chain_nodes": ("ber", "chain_nodes = 9", "chain_nodes", "chain"),
+    "ber-chain_halved": ("ber", "chain_halved = yes", "chain_halved", "chain"),
+    "mi-chain_nodes": ("mi", "chain_nodes = 9", "chain_nodes", "chain"),
+    "mi-chain_halved": ("mi", "chain_halved = on", "chain_halved", "chain"),
+}
+
+
+@pytest.mark.parametrize("command, text, key, readers", list(_IGNORED_KEYS.values()),
+                         ids=list(_IGNORED_KEYS))
+def test_config_file_keys_the_command_ignores_are_refused(command, text, key, readers,
+                                                          tmp_path, capsys):
+    p = tmp_path / "k.cfg"
+    p.write_text(text + "\n", encoding="utf-8")
+    assert cli_usage_error([command, "--config", str(p)], capsys) == \
+        f"pnc {command}: error: {key} applies only to {readers}, not {command}"
+
+
+def test_every_bench_argv_builds_its_config():
+    # bench/workloads.py as tests/test_traced_workloads.py loads it: from its file, read-only
+    for w in sorted(bench_workloads.WORKLOADS):
+        for inv in bench_workloads.reference_cases(w):
+            argv = inv.argv() + ["--seed", "7", "--out", "x.out"]
+            cfg = ExperimentConfig(**_overrides(_build_parser().parse_args(argv)))
+            assert cfg.command == inv.command, argv
+
+
+# each subcommand's options as `pnc <command> --help` lists them
+_FLAG_SETS = {
+    "ber": ["--config", "--seed", "--out", "--scenario", "--workers", "--snr-grid", "--samples",
+            "--offset-range", "--rolloff", "--frame-length"],
+    "penalty": ["--config", "--seed", "--out", "--rolloff"],
+    "chain": ["--config", "--seed", "--out", "--nodes", "--bg-time", "--period", "--errors",
+              "--halved"],
+}
+_FLAG_SETS["mi"] = _FLAG_SETS["ber"]
+
+
+def test_each_subcommand_offers_the_flags_of_the_fields_it_reads():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    assert list(sub) == list(harness.COMMANDS)
+    for cmd, parser in sub.items():
+        flags = [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert flags == _FLAG_SETS[cmd], cmd
+        assert {a.dest for a in parser._actions if a.dest not in ("help", "config")} == \
+            {name for name in harness.READERS if name != "command" and name != "truncation"
+             and harness.reads(name, cmd)}, cmd
 
 
 def test_cli_parser_carries_no_state_between_calls(tmp_path, capsys):

@@ -14,7 +14,7 @@ from pncsync.mutual_info import (PHASE_OFFSETS, _class_log_densities, _log_ratio
                                  mi_phase_unsync, mi_time_unsync)
 from oracles import (class_log_densities_by_logsumexp, isi_atoms_by_enumeration,
                      mi_offsets_by_logsumexp, quadrature_mi_bits_per_dim,
-                     time_log_densities_by_logsumexp)
+                     time_log_densities_by_logsumexp, time_mi)
 
 PULSE, FRAME = PulseShape(), 1000  # the config defaults
 
@@ -31,7 +31,7 @@ def test_quadrature_oracle_reproduces_frozen_values():
         FROZEN_QUAD_PI8_5DB, abs=2e-4)
 
 
-# |z| bound of the Monte-Carlo MI against its quadrature oracle, fixed before the run
+# |z| bound of the Monte-Carlo MI against its oracles, fixed before the run
 Z_MAX = 4.0
 
 
@@ -55,6 +55,24 @@ def test_phase_mi_matches_quadrature_oracle():
         want = float(np.mean([quadrature_mi_bits_per_dim(snr, t, ngrid=301)
                               for t in PHASE_OFFSETS]))
         z = (float(np.mean(means)) - want) / se
+        assert abs(z) <= Z_MAX, (snr, z)
+
+
+def test_time_mi_oracle_reproduces_frozen_values():
+    # x = 0.5, roll-off 0.5, L = 16; 32 nodes and 8192 points move them below 1e-6
+    for snr, want in ((0.0, 0.281412), (5.0, 0.708479)):
+        assert time_mi(snr, 0.5, PULSE) == pytest.approx(want, abs=1e-6)
+        assert time_mi(snr, 0.5, PULSE, nodes=32, points=8192) == pytest.approx(want, abs=1e-6)
+
+
+def test_time_mi_matches_inversion_oracle():
+    # 20 independent batches of 50 frames of 200 samples, each frame its own offset
+    for snr in (0.0, 5.0):
+        means = [mi_time_unsync(snr, 0.5, 10_000,
+                                np.random.default_rng(np.random.SeedSequence(103, spawn_key=(b,))),
+                                PULSE, 200) for b in range(20)]
+        se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+        z = (float(np.mean(means)) - time_mi(snr, 0.5, PULSE)) / se
         assert abs(z) <= Z_MAX, (snr, z)
 
 
