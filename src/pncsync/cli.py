@@ -91,16 +91,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         args.usage_error(str(exc))
 
+    label = harness.scenario_label(cfg)  # of ber and mi rows
     if cfg.command == "ber":
-        results = harness.run_ber(cfg)
-        for r in results:
-            print(f"snr {r.snr_db:6.2f} dB  {r.scenario:<20s} ber {r.ber:.6e} "
-                  f"({r.num_errors}/{r.num_bits})")
+        for snr, err, bits in harness.run_ber(cfg):
+            print(f"snr {snr:6.2f} dB  {label:<20s} ber {err / bits:.6e} ({err}/{bits})")
     elif cfg.command == "mi":
-        results = harness.run_mi(cfg)
-        for e in results:
-            print(f"snr {e.snr_db:6.2f} dB  {e.scenario:<20s} "
-                  f"mi {e.mi_bits_per_dim:.4f} bit/dim  (n={e.num_samples})")
+        for snr, mi, n in harness.run_mi(cfg):
+            print(f"snr {snr:6.2f} dB  {label:<20s} mi {mi:.4f} bit/dim  (n={n})")
     elif cfg.command == "penalty":
         _, summary = harness.run_penalty(cfg)
         for key, val in summary.items():

@@ -13,7 +13,10 @@ Each scenario is one row of a table: its RNG stream index and its BER and
 MI batch functions.  One sweep drives both runners: batch b of SNR point i
 draws from SeedSequence(seed, spawn_key=(scenario index, i, b)), and the
 batches reduce in fixed order, so identical configurations produce
-byte-identical output files.
+byte-identical output files.  The runners return the sweep's rows, one
+tuple per SNR point: (snr_db, errors, bits) for BER and (snr_db, mi,
+samples) for MI.  The CSV writers and `pnc` read these rows; scenario
+label and seed are the config's.
 
 Draw contract of a BER batch.  A batch works in blocks of at most _BLOCK
 (2^16) symbols, whole frames where it has frames (at least one frame per
@@ -123,6 +126,9 @@ class ExperimentConfig:
             if far:
                 raise ValueError(f"snr_grid_db must lie within +-{MAX_ABS_SNR_DB:g} dB, "
                                  f"got {far[0]!r}")
+            if self.frame_length > self.samples_per_point:
+                raise ValueError(f"frame_length must be <= samples_per_point "
+                                 f"({self.samples_per_point}), got {self.frame_length}")
         if not 0.0 <= self.offset_range <= 0.5:
             raise ValueError("offset_range must be in [0, 0.5]")
         self.pulse()  # rolloff in [0, 1] and truncation >= 1
@@ -133,6 +139,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.frame_length < 1:
             raise ValueError("frame_length must be >= 1")
+        if self.output_path == "":
+            raise ValueError("output_path must not be empty")
         for f in fields(self):  # then every value a run would ignore
             if getattr(self, f.name) != f.default and \
                     not reads(f.name, self.command, self.scenario):
@@ -148,37 +156,6 @@ class ExperimentConfig:
     def chain_config(self) -> chain.ChainConfig:
         return chain.ChainConfig(num_nodes=self.chain_nodes, bg_sync_time=self.chain_bg_time,
                                  period=self.chain_period, local_errors=self.chain_local_errors)
-
-
-@dataclass(frozen=True)
-class BerResult:
-    snr_db: float
-    scenario: str
-    ber: float
-    num_bits: int
-    num_errors: int
-    seed: int
-
-    def __post_init__(self):
-        if self.num_errors > self.num_bits:
-            raise ValueError("num_errors cannot exceed num_bits")
-        if self.ber != self.num_errors / self.num_bits:
-            raise ValueError("ber must equal num_errors/num_bits exactly")
-
-
-@dataclass(frozen=True)
-class MiEstimate:
-    """One mutual-information point."""
-
-    snr_db: float
-    scenario: str
-    mi_bits_per_dim: float
-    num_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not -1e-9 <= self.mi_bits_per_dim <= 1.0 + 1e-9:
-            raise ValueError(f"mi_bits_per_dim out of [0, 1]: {self.mi_bits_per_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,36 +359,32 @@ def _sweep(cfg: ExperimentConfig, stream: int, batch):
 # BER / MI / penalty / chain runners
 
 
-def run_ber(cfg: ExperimentConfig) -> list[BerResult]:
-    """Monte-Carlo xor BER at the relay, one result per SNR point."""
+def run_ber(cfg: ExperimentConfig) -> list[tuple]:
+    """Monte-Carlo xor BER at the relay, one (snr_db, errors, bits) row per SNR point."""
     stream, batch, _ = _SCENARIOS[cfg.scenario]
-    label = scenario_label(cfg)
-    results = [BerResult(snr_db=snr, scenario=label, ber=err / tot, num_bits=tot,
-                         num_errors=err, seed=cfg.master_seed)
-               for snr, err, tot in _sweep(cfg, stream, batch)]
+    rows = list(_sweep(cfg, stream, batch))
     if cfg.output_path:
-        write_ber_csv(cfg.output_path, cfg, results)
-    return results
+        write_ber_csv(cfg.output_path, cfg, rows)
+    return rows
 
 
-def run_mi(cfg: ExperimentConfig) -> list[MiEstimate]:
-    """Mutual-information curve for the configured scenario."""
+def run_mi(cfg: ExperimentConfig) -> list[tuple]:
+    """Mutual information, one (snr_db, mi, samples) row per SNR point; mi in [0, 1] bit/dim."""
     stream, _, batch = _SCENARIOS[cfg.scenario]
-    label = scenario_label(cfg)
-    est = [MiEstimate(snr_db=snr, scenario=label,
-                      mi_bits_per_dim=float(np.clip(acc / used, 0.0, 1.0)),
-                      num_samples=used, seed=cfg.master_seed)
-           for snr, acc, used in _sweep(cfg, stream, batch)]
+    rows = [(snr, float(np.clip(acc / used, 0.0, 1.0)), used)
+            for snr, acc, used in _sweep(cfg, stream, batch)]
     if cfg.output_path:
-        write_mi_csv(cfg.output_path, cfg, est)
-    return est
+        write_mi_csv(cfg.output_path, cfg, rows)
+    return rows
 
 
-def penalty_summary(ctx: analysis.SinrContext) -> dict:
-    """Scalar penalty/SIR summary reported in the penalty CSV footer."""
+def run_penalty(cfg: ExperimentConfig):
+    """Closed-form penalty curves and the scalar penalty/SIR summary of the CSV footer."""
+    ctx = analysis.SinrContext(rolloff=cfg.rolloff, truncation_symbols=cfg.truncation)
+    curves = analysis.emit_penalty_curves(ctx)
     avg_phase = analysis.avg_phase_penalty_db()
     pnc_sir = analysis.PNC_1D_SIR_DB
-    return {
+    summary = {
         "avg_phase_penalty_db": avg_phase,
         "worst_phase_penalty_db": analysis.phase_penalty_db(math.pi / 4),
         "avg_sinr_penalty_db": analysis.avg_sinr_penalty_db(ctx),
@@ -420,13 +393,6 @@ def penalty_summary(ctx: analysis.SinrContext) -> dict:
         "sir_1d_pnc_db": pnc_sir,
         "sir_1d_pnc_minus_avg_phase_db": pnc_sir + avg_phase,
     }
-
-
-def run_penalty(cfg: ExperimentConfig):
-    """Closed-form penalty curves plus the scalar summary footer."""
-    ctx = analysis.SinrContext(rolloff=cfg.rolloff, truncation_symbols=cfg.truncation)
-    curves = analysis.emit_penalty_curves(ctx)
-    summary = penalty_summary(ctx)
     if cfg.output_path:
         write_penalty_csv(cfg.output_path, cfg, curves, summary)
     return curves, summary
@@ -451,30 +417,29 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_ber_csv(path, cfg: ExperimentConfig, results):
+def write_ber_csv(path, cfg: ExperimentConfig, rows):
+    """The rows of `run_ber` as a CSV file, with ber = errors / bits."""
+    label, seed = scenario_label(cfg), cfg.master_seed
     lines = [
         "# figure: ber-vs-snr-sync-comparison",
         f"# scenario={cfg.scenario} offset_range={cfg.offset_range!r} "
-        f"samples_per_point={cfg.samples_per_point} workers={cfg.workers} "
-        f"seed={cfg.master_seed}",
+        f"samples_per_point={cfg.samples_per_point} workers={cfg.workers} seed={seed}",
         "snr_db,scenario,ber,num_bits,num_errors,seed",
     ]
-    for r in results:
-        lines.append(f"{r.snr_db!r},{r.scenario},{r.ber!r},"
-                     f"{r.num_bits},{r.num_errors},{r.seed}")
+    lines += [f"{snr!r},{label},{err / bits!r},{bits},{err},{seed}" for snr, err, bits in rows]
     _write_lines(path, lines)
 
 
-def write_mi_csv(path, cfg: ExperimentConfig, estimates):
+def write_mi_csv(path, cfg: ExperimentConfig, rows):
+    """The rows of `run_mi` as a CSV file."""
+    label, seed = scenario_label(cfg), cfg.master_seed
     lines = [
         "# figure: mutual-information-vs-snr-sync-comparison",
         f"# scenario={cfg.scenario} offset_range={cfg.offset_range!r} "
-        f"samples_per_point={cfg.samples_per_point} seed={cfg.master_seed}",
+        f"samples_per_point={cfg.samples_per_point} seed={seed}",
         "snr_db,scenario,mi_bits_per_dim,num_samples,num_workers,seed",
     ]
-    for e in estimates:
-        lines.append(f"{e.snr_db!r},{e.scenario},{e.mi_bits_per_dim!r},"
-                     f"{e.num_samples},{cfg.workers},{e.seed}")
+    lines += [f"{snr!r},{label},{mi!r},{n},{cfg.workers},{seed}" for snr, mi, n in rows]
     _write_lines(path, lines)
 
 

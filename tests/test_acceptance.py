@@ -43,8 +43,9 @@ def _ber_curve(scenario, grid, bits, offset=0.5, seed=SEED):
     cfg = ExperimentConfig(command="ber", scenario=scenario, snr_grid_db=grid,
                            samples_per_point=bits, offset_range=offset,
                            master_seed=seed)
-    res = run_ber(cfg)
-    return np.array([r.snr_db for r in res]), np.array([r.ber for r in res])
+    rows = run_ber(cfg)
+    return (np.array([snr for snr, _, _ in rows]),
+            np.array([err / bits for _, err, bits in rows]))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def mi_curves():
                                samples_per_point=100_000, offset_range=offset,
                                master_seed=SEED)
         est = run_mi(cfg)
-        return np.array(grid), np.array([e.mi_bits_per_dim for e in est])
+        return np.array(grid), np.array([mi for _, mi, _ in est])
 
     out = {
         "perfect": curve("perfect"),
@@ -155,11 +156,11 @@ def test_criterion_06_perfect_sync_ber_oracle():
         snr = 20.0 * math.log10(inv_sigma)
         cfg = ExperimentConfig(command="ber", scenario="perfect", snr_grid_db=(snr,),
                                samples_per_point=1_000_000, master_seed=SEED)
-        r = run_ber(cfg)[0]
+        _, err, bits = run_ber(cfg)[0]
         want = theory(snr)
-        tol = 3.0 * math.sqrt(want * (1.0 - want) / r.num_bits)
-        ok &= abs(r.ber - want) < tol
-        details.append(f"1/sigma={inv_sigma:g}: mc={r.ber:.3e} vs oracle={want:.3e}")
+        tol = 3.0 * math.sqrt(want * (1.0 - want) / bits)
+        ok &= abs(err / bits - want) < tol
+        details.append(f"1/sigma={inv_sigma:g}: mc={err / bits:.3e} vs oracle={want:.3e}")
     dt = time.time() - t0
     ok &= dt < 30.0
     assert _report(6, ok, "; ".join(details) + f" (3-sigma binomial, {dt:.1f}s)")

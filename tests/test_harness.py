@@ -15,9 +15,8 @@ from pncsync import harness
 from pncsync.cli import _build_parser, _overrides, main as cli_main
 from pncsync.impairments import PulseShape, isi_taps, mid_offset_frame, raised_cosine
 from pncsync.mutual_info import mi_given_theta
-from pncsync.harness import (BerResult, ExperimentConfig, _parse_grid, config_from_file,
-                             parse_config_file, penalty_summary, run_ber, run_chain, run_mi,
-                             run_penalty, scenario_label)
+from pncsync.harness import (ExperimentConfig, _parse_grid, config_from_file, parse_config_file,
+                             run_ber, run_chain, run_mi, run_penalty, scenario_label)
 from oracles import horizontal_gap_db, max_horizontal_gap_db, snr_at_level, time_ber
 from test_traced_workloads import workloads as bench_workloads
 
@@ -75,6 +74,14 @@ def test_config_validation(tmp_path, capsys):
             with pytest.raises(ValueError, match="only to time_unsync"):
                 ExperimentConfig(command=command, scenario=scenario, offset_range=0.2)
     ExperimentConfig(scenario="time_unsync", offset_range=0.2)
+    # a frame longer than the budget: ber would allocate it whole, mi would run it whole
+    for command in ("ber", "mi"):
+        with pytest.raises(ValueError, match=r"^frame_length must be <= samples_per_point "
+                                             r"\(1000\), got 1001$"):
+            ExperimentConfig(command=command, scenario="time_unsync", samples_per_point=1000,
+                             frame_length=1001)
+        ExperimentConfig(command=command, scenario="time_unsync", samples_per_point=1000,
+                         frame_length=1000)
     # penalty and chain draw no samples, so they refuse a sample budget
     with pytest.raises(ValueError, match="^samples_per_point applies only to ber and mi, "
                                          "not penalty$"):
@@ -103,6 +110,9 @@ def test_config_validation(tmp_path, capsys):
     # library callers still get the ValueError
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         config_from_file(p)
+    p.write_text("output_path =\n", encoding="utf-8")
+    assert cli_usage_error(["mi", "--config", str(p), "--snr-grid", "5", "--samples", "1000"],
+                           capsys) == "pnc mi: error: output_path must not be empty"
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -277,15 +287,6 @@ def test_config_file_fuzz_rejects_with_path_and_line(tmp_path_factory, doc, kind
     assert msg.startswith(f"{p}:{at + 1}: ") and why in msg and key in msg
 
 
-def test_ber_result_invariants():
-    with pytest.raises(ValueError):
-        BerResult(0.0, "perfect", 0.5, 10, 11, 1)
-    with pytest.raises(ValueError):
-        BerResult(0.0, "perfect", 0.1, 10, 2, 1)  # ber must be exact ratio
-    r = BerResult(0.0, "perfect", 0.2, 10, 2, 1)
-    assert r.ber == 0.2
-
-
 # ---------------------------------------------------------------------------
 # BER runner
 
@@ -296,10 +297,10 @@ def test_perfect_ber_matches_analytic_oracle():
     cfg = ExperimentConfig(command="ber", scenario="perfect",
                            snr_grid_db=(6.02, 9.54), samples_per_point=400_000,
                            master_seed=2)
-    for r in run_ber(cfg):
-        want = perfect_ber_theory(r.snr_db)
-        sigma4 = 4.0 * math.sqrt(want * (1 - want) / r.num_bits)
-        assert abs(r.ber - want) < sigma4
+    for snr, err, bits in run_ber(cfg):
+        want = perfect_ber_theory(snr)
+        sigma4 = 4.0 * math.sqrt(want * (1 - want) / bits)
+        assert abs(err / bits - want) < sigma4
 
 
 @pytest.mark.parametrize("snr", [20 * math.log10(2.0), 8.0, 20 * math.log10(3.0)])
@@ -317,26 +318,26 @@ def test_time_oracle_at_zero_offset_is_the_perfect_closed_form(snr):
 def test_time_unsync_at_zero_range_equals_perfect_statistically():
     base = ExperimentConfig(command="ber", scenario="time_unsync", offset_range=0.0,
                             snr_grid_db=(8.0,), samples_per_point=400_000, master_seed=3)
-    r = run_ber(base)[0]
+    _, err, bits = run_ber(base)[0]
     want = perfect_ber_theory(8.0)
-    sigma3 = 3.0 * math.sqrt(want * (1 - want) / r.num_bits)
-    assert abs(r.ber - want) < sigma3
+    sigma3 = 3.0 * math.sqrt(want * (1 - want) / bits)
+    assert abs(err / bits - want) < sigma3
 
 
 def test_phase_unsync_ber_worse_than_perfect():
     snr = (8.0,)
     n = 200_000
-    perfect = run_ber(ExperimentConfig(command="ber", scenario="perfect",
-                                       snr_grid_db=snr, samples_per_point=n))[0]
-    phase = run_ber(ExperimentConfig(command="ber", scenario="phase_unsync",
-                                     snr_grid_db=snr, samples_per_point=n))[0]
-    assert phase.ber > perfect.ber
+    _, perfect_err, perfect_bits = run_ber(ExperimentConfig(
+        command="ber", scenario="perfect", snr_grid_db=snr, samples_per_point=n))[0]
+    _, phase_err, phase_bits = run_ber(ExperimentConfig(
+        command="ber", scenario="phase_unsync", snr_grid_db=snr, samples_per_point=n))[0]
+    assert phase_err / phase_bits > perfect_err / perfect_bits
 
 
 def test_ber_monotone_in_snr():
     cfg = ExperimentConfig(command="ber", scenario="perfect",
                            snr_grid_db=(2.0, 5.0, 8.0), samples_per_point=200_000)
-    bers = [r.ber for r in run_ber(cfg)]
+    bers = [err / bits for _, err, bits in run_ber(cfg)]
     assert bers[0] > bers[1] > bers[2]
 
 
@@ -354,13 +355,19 @@ def test_ber_csv_deterministic(tmp_path):
     assert header[2] == "snr_db,scenario,ber,num_bits,num_errors,seed"
 
 
-def test_ber_worker_split_changes_batching_not_totals():
-    # same seed, different worker counts: still valid results, exact ratios
+def test_ber_worker_split_changes_batching_not_totals(tmp_path):
+    # same seed, different worker counts: the written ber is the exact ratio of its counts
     for w in (1, 3):
-        cfg = ExperimentConfig(command="ber", scenario="perfect", snr_grid_db=(6.0,),
-                               samples_per_point=30_000, workers=w, master_seed=5)
-        r = run_ber(cfg)[0]
-        assert r.ber == r.num_errors / r.num_bits
+        out = tmp_path / f"w{w}.csv"
+        cfg = ExperimentConfig(command="ber", scenario="perfect", snr_grid_db=(6.0, 8.0),
+                               samples_per_point=30_000, workers=w, master_seed=5,
+                               output_path=str(out))
+        rows = run_ber(cfg)
+        written = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert [(float(s), int(k), int(n)) for s, _, _, n, k, _ in written] == rows
+        for _, _, ber, bits, errors, _ in written:
+            assert float(ber) == int(errors) / int(bits)
+            assert 0 <= int(errors) <= int(bits) == 30_000
 
 
 def test_ber_streams_are_keyed_by_scenario_point_batch():
@@ -387,8 +394,8 @@ def test_ber_streams_are_keyed_by_scenario_point_batch():
                 r = mid_offset_frame(a1, a3, te, tl)[L:L + n] + sd * noise[f, d]
                 err += int(np.sum((np.abs(r) <= scale) != (a1[L:L + n] != a3[L:L + n])))
                 tot += n
-    assert (got.num_errors, got.num_bits) == (err, tot)
-    assert got.scenario == "time_unsync_x0.3"
+    assert got == (5.0, err, tot)
+    assert scenario_label(cfg) == "time_unsync_x0.3"
 
 
 @pytest.mark.parametrize("scenario", ["perfect", "phase_unsync", "time_unsync"])
@@ -415,11 +422,11 @@ def test_ber_memory_does_not_grow_with_the_budget(scenario):
 def test_mi_streams_are_keyed_by_scenario_point_batch():
     cfg = ExperimentConfig(command="mi", scenario="perfect", snr_grid_db=(0.0, 5.0),
                            samples_per_point=3_000, master_seed=21)
-    for i, e in enumerate(run_mi(cfg)):
+    for i, (snr, mi, n) in enumerate(run_mi(cfg)):
         rng = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0, i, 0)))
-        want = mi_given_theta(e.snr_db, 0.0, 3_000, rng)
-        assert e.mi_bits_per_dim == pytest.approx(want, rel=0, abs=1e-12)
-        assert e.num_samples == 3_000
+        want = mi_given_theta(snr, 0.0, 3_000, rng)
+        assert mi == pytest.approx(want, rel=0, abs=1e-12)
+        assert n == 3_000
 
 
 def test_mi_csv_schema_and_determinism(tmp_path):
@@ -443,7 +450,7 @@ def test_mi_csv_schema_and_determinism(tmp_path):
 
 
 def test_penalty_summary_reference_values():
-    s = penalty_summary(harness.analysis.SinrContext())
+    s = run_penalty(ExperimentConfig(command="penalty"))[1]
     assert s["avg_phase_penalty_db"] == pytest.approx(-3.434, abs=0.05)
     assert s["worst_phase_penalty_db"] == pytest.approx(-7.656, abs=0.01)
     assert s["sir_1d_traditional_db"] == pytest.approx(8.492, abs=0.05)
@@ -532,6 +539,42 @@ def test_cli_ber_with_config_and_overrides(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[2].startswith("snr_db,")
     assert len(lines) == 6  # 2 comments + header + 3 points
+
+
+# `pnc <command> --scenario <scenario> --snr-grid 4,6 --samples 2000`, printed to stdout
+_FROZEN_STDOUT = {
+    ("ber", "perfect"): [
+        "snr   4.00 dB  perfect              ber 8.050000e-02 (161/2000)",
+        "snr   6.00 dB  perfect              ber 4.050000e-02 (81/2000)",
+    ],
+    ("mi", "perfect"): [
+        "snr   4.00 dB  perfect              mi 0.7193 bit/dim  (n=2000)",
+        "snr   6.00 dB  perfect              mi 0.8809 bit/dim  (n=2000)",
+    ],
+    ("ber", "phase_unsync"): [
+        "snr   4.00 dB  phase_unsync         ber 8.250000e-02 (165/2000)",
+        "snr   6.00 dB  phase_unsync         ber 9.750000e-02 (195/2000)",
+    ],
+    ("mi", "phase_unsync"): [
+        "snr   4.00 dB  phase_unsync         mi 0.6111 bit/dim  (n=2000)",
+        "snr   6.00 dB  phase_unsync         mi 0.7663 bit/dim  (n=2000)",
+    ],
+    ("ber", "time_unsync"): [
+        "snr   4.00 dB  time_unsync_x0.5     ber 1.575000e-01 (315/2000)",
+        "snr   6.00 dB  time_unsync_x0.5     ber 7.500000e-02 (150/2000)",
+    ],
+    ("mi", "time_unsync"): [
+        "snr   4.00 dB  time_unsync_x0.5     mi 0.5516 bit/dim  (n=2000)",
+        "snr   6.00 dB  time_unsync_x0.5     mi 0.7864 bit/dim  (n=2000)",
+    ],
+}
+
+
+@pytest.mark.parametrize("command, scenario", list(_FROZEN_STDOUT))
+def test_cli_ber_and_mi_stdout_is_frozen(command, scenario, capsys):
+    assert cli_main([command, "--scenario", scenario, "--snr-grid", "4,6",
+                     "--samples", "2000"]) == 0
+    assert capsys.readouterr().out.splitlines() == _FROZEN_STDOUT[command, scenario]
 
 
 def test_cli_penalty_prints_summary(capsys):
@@ -644,8 +687,15 @@ def test_cli_bad_grid_exits_2_with_one_line(capsys):
     # checked before the run, which would otherwise spend its whole budget first
     ("penalty --out nodir/x.csv", "output path 'nodir/x.csv': 'nodir' is not a directory"),
     ("chain --out .", "output path '.' is a directory"),
+    # an empty path would run the whole budget, then write nothing and say nothing
+    ("ber --snr-grid 5 --samples 1000 --out=", "output_path must not be empty"),
+    ("ber --scenario time_unsync --snr-grid 5 --samples 1000 --frame-length 1000000000000",
+     "frame_length must be <= samples_per_point (1000), got 1000000000000"),
+    ("mi --scenario time_unsync --snr-grid 5 --samples 1000 --frame-length 200000",
+     "frame_length must be <= samples_per_point (1000), got 200000"),
 ], ids=["nodes", "errors_pair", "infeasible", "bg_time_nan", "errors_nan", "negative_seed",
-        "errors_negative", "grid_empty", "errors_empty", "out_missing_dir", "out_is_dir"])
+        "errors_negative", "grid_empty", "errors_empty", "out_missing_dir", "out_is_dir",
+        "out_empty", "ber_frame_over_budget", "mi_frame_over_budget"])
 def test_cli_bad_config_inputs_exit_2_with_one_line(argv, message, capsys):
     assert cli_usage_error(argv.split(), capsys) == f"pnc {argv.split()[0]}: error: {message}"
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pncsync.mutual_info as mutual_info
 from pncsync.detection import build_hypotheses
-from pncsync.harness import ExperimentConfig, MiEstimate, run_mi
+from pncsync.harness import ExperimentConfig, run_mi, scenario_label
 from pncsync.impairments import PulseShape, isi_taps, time_offset_frames
 from pncsync.mutual_info import (PHASE_OFFSETS, _class_log_densities, _log_ratio,
                                  _time_log_densities, _window_isi_atoms, mi_given_theta,
@@ -158,7 +158,7 @@ def test_time_unsync_mi_with_truncation_inside_the_window(trunc):
     cfg = ExperimentConfig(command="mi", scenario="time_unsync", offset_range=0.5,
                            truncation=trunc, snr_grid_db=(0.0, 10.0, 40.0),
                            samples_per_point=2000, master_seed=3)
-    got = [e.mi_bits_per_dim for e in run_mi(cfg)]
+    got = [mi for _, mi, _ in run_mi(cfg)]
     np.testing.assert_allclose(got, FROZEN_NARROW_TIME05[trunc], rtol=0, atol=1e-15)
 
 
@@ -379,11 +379,6 @@ def test_time_unsync_validates_range():
         mi_time_unsync(5.0, 0.6, 1000, np.random.default_rng(0), PULSE, FRAME)
 
 
-def test_mi_estimate_bounds_enforced():
-    with pytest.raises(ValueError):
-        MiEstimate(0.0, "perfect", 1.5, 10, 1)
-
-
 def _mi_curve(scenario, grid, samples, seed, **kw):
     return run_mi(ExperimentConfig(command="mi", scenario=scenario, snr_grid_db=grid,
                                    samples_per_point=samples, master_seed=seed, **kw))
@@ -394,24 +389,25 @@ def test_mi_curve_deterministic_and_bounded():
     a = _mi_curve("perfect", grid, 20_000, seed=77)
     b = _mi_curve("perfect", grid, 20_000, seed=77)
     assert a == b
-    assert all(0.0 <= e.mi_bits_per_dim <= 1.0 for e in a)
-    assert [e.snr_db for e in a] == list(grid)
+    assert all(0.0 <= mi <= 1.0 for _, mi, _ in a)
+    assert [snr for snr, _, _ in a] == list(grid)
 
 
 def test_mi_curve_monotone_in_snr_statistically():
     est = _mi_curve("perfect", tuple(range(0, 13, 2)), 50_000, seed=5)
-    vals = [e.mi_bits_per_dim for e in est]
+    vals = [mi for _, mi, _ in est]
     # allow 3-sigma jitter (~0.005 at this sample size)
     assert all(b >= a - 0.01 for a, b in zip(vals, vals[1:]))
 
 
 def test_mi_curve_scenarios_and_labels():
     t = _mi_curve("time_unsync", (5.0,), 2_000, seed=1, offset_range=0.5)
-    assert t[0].scenario == "time_unsync_x0.5"
+    assert scenario_label(ExperimentConfig(scenario="time_unsync", offset_range=0.5)) == \
+        "time_unsync_x0.5"
     # without a range, time_unsync uses the full [-T/2, T/2]
     assert _mi_curve("time_unsync", (5.0,), 2_000, seed=1) == t
-    p = _mi_curve("phase_unsync", (5.0,), 2_000, seed=1)
-    assert p[0].scenario == "phase_unsync"
+    assert _mi_curve("phase_unsync", (5.0,), 2_000, seed=1) != t
+    assert scenario_label(ExperimentConfig(scenario="phase_unsync")) == "phase_unsync"
     with pytest.raises(ValueError):
         _mi_curve("phase_unsync", (5.0,), 2_000, seed=1, offset_range=0.2)
     with pytest.raises(ValueError):
