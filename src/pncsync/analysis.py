@@ -13,7 +13,6 @@ penalty compares the resulting SINR against the reference SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,40 +29,17 @@ _SINR_GRID_POINTS = 1001  # offsets of the average and worst SINR penalty sweeps
 _CURVE_POINTS = 101  # points of each tabulated penalty curve
 
 
-@dataclass(frozen=True)
-class SinrContext:
-    """Reference SNR and pulse parameters for the time-offset penalty."""
+def phase_penalty_db(theta: float) -> float:
+    """Power-penalty upper bound for one phase offset: 10 log10(d^2/4).
 
-    snr0_db: float = SNR0_DB
-    rolloff: float = 0.5
-    truncation_symbols: int = 16
-
-    def __post_init__(self):
-        if not math.isfinite(self.snr0_db):
-            raise ValueError("snr0_db must be finite")
-        self.pulse()  # rolloff in [0, 1] and truncation >= 1
-
-    def pulse(self) -> PulseShape:
-        return PulseShape(self.rolloff, self.truncation_symbols)
-
-    def noise_var(self) -> float:
-        return 10.0 ** (-self.snr0_db / 10.0)
-
-
-def min_distance_sq(theta: float) -> float:
-    """Smallest squared inter-class distance: 4(1-cos t)^2 + 4(1-sin t)^2.
-
-    Valid for folded offsets; negative values use |theta| by symmetry.
+    d^2 = 4(1-cos t)^2 + 4(1-sin t)^2 is the smallest squared distance
+    between points of different xor classes.  Valid for folded offsets;
+    negative values use |theta| by symmetry.
     """
     t = abs(theta)
     if t > math.pi / 4 + 1e-12:
         raise ValueError(f"theta must be folded into [-pi/4, pi/4], got {theta}")
-    return 4.0 * (1.0 - math.cos(t)) ** 2 + 4.0 * (1.0 - math.sin(t)) ** 2
-
-
-def phase_penalty_db(theta: float) -> float:
-    """Power-penalty upper bound for one phase offset: 10 log10(d^2/4)."""
-    return 10.0 * math.log10(min_distance_sq(theta) / 4.0)
+    return 10.0 * math.log10((1.0 - math.cos(t)) ** 2 + (1.0 - math.sin(t)) ** 2)  # d^2/4
 
 
 # Mean of the even linear bound (1-cos t)^2 + (1-sin t)^2 over t in [0, pi/4]:
@@ -97,7 +73,7 @@ def sir_1d_traditional_db(alpha: float) -> float:
     return 10.0 * math.log10(1.0 / total)
 
 
-def isi_variance(dt_frac, ctx: SinrContext):
+def isi_variance(dt_frac, pulse: PulseShape):
     """Variance of the mid-offset ISI for i.i.d. equiprobable +-1 symbols.
 
     Independence kills every cross term, leaving the sum of squared pulse
@@ -118,7 +94,7 @@ def isi_variance(dt_frac, ctx: SinrContext):
     bad = dt[np.abs(dt) > 0.5]
     if bad.size:
         raise ValueError(f"|dt_frac| must be <= 0.5, got {bad[0]}")
-    lags, te, tl = _mid_offset_taps(dt, ctx.pulse())
+    lags, te, tl = _mid_offset_taps(dt, pulse)
     tails = lags != 0
     early = np.ascontiguousarray(te[:, tails])
     late = np.ascontiguousarray(tl[:, tails])
@@ -127,28 +103,28 @@ def isi_variance(dt_frac, ctx: SinrContext):
     return np.add.reduce(early, axis=1) + np.add.reduce(late, axis=1)
 
 
-def sinr_linear(dt_frac, ctx: SinrContext):
-    """Linear SINR p(dt/2)^2 / (isi_variance + noise_var) of a 1-D array of offsets."""
-    p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
-    return p * p / (isi_variance(dt_frac, ctx) + ctx.noise_var())
+def _sinr_linear(dt_frac, pulse, snr0_db):
+    """Linear SINR p(dt/2)^2 / (isi_variance + noise variance) of a 1-D array of offsets."""
+    p = raised_cosine(np.asarray(dt_frac) / 2, pulse.rolloff)
+    return p * p / (isi_variance(dt_frac, pulse) + 10.0 ** (-snr0_db / 10.0))
 
 
-def sinr_penalty_db(dt_frac, ctx: SinrContext):
-    """SINR penalty vs the reference SNR: signal loss plus ISI noise raise.
+def sinr_penalty_db(dt_frac, pulse: PulseShape, snr0_db: float = SNR0_DB):
+    """SINR penalty vs the reference SNR snr0_db: signal loss plus ISI noise raise.
 
     Takes a 1-D array of offsets.  The logarithms are math.log10 per
     element, not np.log10, whose SIMD kernel differs from the C library's
     in the last bit of some values; so each element has the bits of its
     one-offset call.
     """
-    p = raised_cosine(np.asarray(dt_frac) / 2, ctx.rolloff)
-    s_n = ctx.noise_var()
-    raise_ = (isi_variance(dt_frac, ctx) + s_n) / s_n
+    p = raised_cosine(np.asarray(dt_frac) / 2, pulse.rolloff)
+    s_n = 10.0 ** (-snr0_db / 10.0)
+    raise_ = (isi_variance(dt_frac, pulse) + s_n) / s_n
     return np.array([10.0 * math.log10(a) - 10.0 * math.log10(b)
                      for a, b in zip((p * p).tolist(), raise_.tolist())])
 
 
-def avg_sinr_penalty_db(ctx: SinrContext) -> float:
+def avg_sinr_penalty_db(pulse: PulseShape, snr0_db: float = SNR0_DB) -> float:
     """Average SINR penalty for a time offset uniform over [-T/2, T/2].
 
     SINR is averaged on the linear scale over dt/T in [-0.5, 0.5]
@@ -156,17 +132,17 @@ def avg_sinr_penalty_db(ctx: SinrContext) -> float:
     to snr0_db; averaging dB values would not be physically meaningful.
     """
     taus = np.linspace(-0.5, 0.5, _SINR_GRID_POINTS)
-    mean = np.trapezoid(sinr_linear(taus, ctx), taus)  # interval has unit width
-    return 10.0 * math.log10(mean) - ctx.snr0_db
+    mean = np.trapezoid(_sinr_linear(taus, pulse, snr0_db), taus)  # interval has unit width
+    return 10.0 * math.log10(mean) - snr0_db
 
 
-def worst_sinr_penalty_db(ctx: SinrContext) -> float:
+def worst_sinr_penalty_db(pulse: PulseShape, snr0_db: float = SNR0_DB) -> float:
     """Most negative SINR penalty over dt/T in [-0.5, 0.5] (grid minimum)."""
     taus = np.linspace(0.0, 0.5, _SINR_GRID_POINTS)  # even in dt
-    return min(sinr_penalty_db(taus, ctx).tolist())
+    return min(sinr_penalty_db(taus, pulse, snr0_db).tolist())
 
 
-def emit_penalty_curves(ctx: SinrContext) -> list:
+def emit_penalty_curves(pulse: PulseShape, snr0_db: float = SNR0_DB) -> list:
     """The phase and time penalty curves: [("phase", points), ("time", points)].
 
     Each curve is _CURVE_POINTS (parameter, penalty_db) pairs: theta in
@@ -175,4 +151,4 @@ def emit_penalty_curves(ctx: SinrContext) -> list:
     thetas = np.linspace(-math.pi / 4, math.pi / 4, _CURVE_POINTS).tolist()
     taus = np.linspace(-0.5, 0.5, _CURVE_POINTS)
     return [("phase", [(t, phase_penalty_db(t)) for t in thetas]),
-            ("time", list(zip(taus.tolist(), sinr_penalty_db(taus, ctx).tolist())))]
+            ("time", list(zip(taus.tolist(), sinr_penalty_db(taus, pulse, snr0_db).tolist())))]

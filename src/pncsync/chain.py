@@ -47,101 +47,57 @@ class ChainConfig:
                              f">= period = {self.period}")
 
 
-@dataclass(frozen=True)
-class SyncStep:
-    """One slot of the synchronization phase: right node syncs to left node."""
+def make_plan(cfg: ChainConfig, halved_sync: bool = False) -> tuple[list, dict]:
+    """The schedule rows and the summary values of one chain, as `serialize_plan` prints them.
 
-    phase: int       # 1 = odd-node sub-phase, 2 = even-node sub-phase
-    step: int        # 1-based position in the schedule
-    group: int       # basic-group index (phase 1) or even-pair index (phase 2)
-    left_node: int
-    right_node: int
-    start_s: float
-    end_s: float
+    Rows are (phase, step, group, left_node, right_node, start_s, end_s):
+    the right node syncs to the left one.  Sub-phase 1 runs the M =
+    floor((N-1)/2) basic groups j = (2j-1, 2j, 2j+1) one after another,
+    group j syncing its odd nodes; sub-phase 2 chains the even nodes ((2,4),
+    (4,6), ...), which also brings in the last node when N is even.  N-2
+    steps in all, so ts = (N-2)*bg_sync_time.
 
-
-@dataclass(frozen=True)
-class ChainPlan:
-    num_nodes: int
-    num_groups: int
-    group_list: tuple      # (group index, (member node ids)) per basic group
-    steps: tuple           # SyncStep schedule, phases 1 then 2
-    ts: float              # synchronization-phase duration, (N-2)*bg_sync_time
-    td: float              # data-phase duration, period - ts
-    overhead: float        # ts / period
-    accumulated_errors: tuple
-    local_errors: tuple    # what every relay detects under, whatever N
-    ts_halved: float | None = None  # optional combined-sub-phase estimate, ~ts/2
-
-
-def partition_groups(num_nodes: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Basic groups over the odd nodes: group j = (2j-1, 2j, 2j+1).
-
-    M = floor((N-1)/2) groups; adjacent groups share one odd node.  For
-    even N the last node is not in any basic group and is brought in by
-    the even-node sub-phase of the full plan.
+    The summary maps num_nodes, num_groups, groups (the (j, members) pairs),
+    ts_s, td_s = period - ts, overhead = ts/period, local_errors (what every
+    relay detects under, whatever N) and accumulated_errors (M times the local
+    triple) to their values, in print order.  halved_sync adds ts_halved_s, the
+    rough ts/2 estimate of a combined schedule without sub-phase 2 (no
+    construction given here).
     """
-    if num_nodes < 3:
-        raise ValueError(f"N >= 3 required, got {num_nodes}")
-    m = (num_nodes - 1) // 2
-    return [(j, (2 * j - 1, 2 * j, 2 * j + 1)) for j in range(1, m + 1)]
-
-
-def make_plan(cfg: ChainConfig, halved_sync: bool = False) -> ChainPlan:
-    """Derive the schedule, overhead and error bounds for one chain.
-
-    Sub-phase 1 runs the M basic-group syncs sequentially; sub-phase 2
-    chains the even nodes ((2,4), (4,6), ...), which also covers the last
-    node when N is even.  Total steps: N-2, so ts = (N-2)*bg_sync_time.
-    halved_sync additionally reports the rough ts/2 estimate of a combined
-    schedule that dispenses with sub-phase 2 (no construction given here).
-    """
-    n = cfg.num_nodes
-    ts = (n - 2) * cfg.bg_sync_time
-    groups = partition_groups(n)
-    m = len(groups)
-
-    steps = []
+    n, bg = cfg.num_nodes, cfg.bg_sync_time
+    m = (n - 1) // 2
+    groups = [(j, (2 * j - 1, 2 * j, 2 * j + 1)) for j in range(1, m + 1)]
+    slots = [(1, j, j, a, b) for j, (a, _, b) in groups]
+    slots += [(2, m + i, i, 2 * i, 2 * i + 2) for i in range(1, n // 2)]
+    rows = []
     t = 0.0
-    for j, members in groups:
-        steps.append(SyncStep(1, j, j, members[0], members[2], t, t + cfg.bg_sync_time))
-        t += cfg.bg_sync_time
-    for i in range(1, n // 2):
-        steps.append(SyncStep(2, m + i, i, 2 * i, 2 * i + 2, t, t + cfg.bg_sync_time))
-        t += cfg.bg_sync_time
-    assert len(steps) == n - 2
-
-    acc = tuple(m * e for e in cfg.local_errors)
-    return ChainPlan(
-        num_nodes=n,
-        num_groups=m,
-        group_list=tuple(groups),
-        steps=tuple(steps),
-        ts=ts,
-        td=cfg.period - ts,
-        overhead=ts / cfg.period,
-        accumulated_errors=acc,
-        local_errors=tuple(cfg.local_errors),
-        ts_halved=ts / 2 if halved_sync else None,
-    )
+    for slot in slots:
+        rows.append(slot + (t, t + bg))
+        t += bg
+    ts = (n - 2) * bg
+    summary = {"num_nodes": n, "num_groups": m, "groups": groups, "ts_s": ts,
+               "td_s": cfg.period - ts, "overhead": ts / cfg.period,
+               "local_errors": tuple(cfg.local_errors),
+               "accumulated_errors": tuple(m * e for e in cfg.local_errors)}
+    if halved_sync:
+        summary["ts_halved_s"] = ts / 2
+    return rows, summary
 
 
-def serialize_plan(plan: ChainPlan) -> str:
-    """Deterministic text form: one line per sync step plus a summary block."""
+def serialize_plan(rows, summary) -> str:
+    """Deterministic text of `make_plan`'s rows and summary: a CSV block, then `key = value` lines.
+
+    Values print as their repr, groups as `BG1:[1, 2, 3]; BG2:[3, 4, 5]`.
+    """
     lines = ["phase,step,group,left_node,right_node,start_s,end_s"]
-    for s in plan.steps:
-        lines.append(f"{s.phase},{s.step},{s.group},{s.left_node},{s.right_node},"
-                     f"{s.start_s!r},{s.end_s!r}")
-    lines.append("")
-    lines.append("# summary")
-    lines.append(f"num_nodes = {plan.num_nodes}")
-    lines.append(f"num_groups = {plan.num_groups}")
-    lines.append(f"groups = {'; '.join(f'BG{j}:{list(m)}' for j, m in plan.group_list)}")
-    lines.append(f"ts_s = {plan.ts!r}")
-    lines.append(f"td_s = {plan.td!r}")
-    lines.append(f"overhead = {plan.overhead!r}")
-    lines.append(f"local_errors = {plan.local_errors!r}")
-    lines.append(f"accumulated_errors = {plan.accumulated_errors!r}")
-    if plan.ts_halved is not None:
-        lines.append(f"ts_halved_s = {plan.ts_halved!r}  # approximate, combined sub-phases")
+    lines += [",".join(map(repr, row)) for row in rows]
+    lines += ["", "# summary"]
+    for key, val in summary.items():
+        if key == "groups":
+            text = "; ".join(f"BG{j}:{list(members)}" for j, members in val)
+        elif key == "ts_halved_s":
+            text = f"{val!r}  # approximate, combined sub-phases"
+        else:
+            text = repr(val)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -43,6 +43,7 @@ draws one frame of one dimension at a time: offset, two trains, noise.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 
@@ -159,9 +160,11 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config files: flat "key = value" lines, '#' comments
+# config files: flat "key = value" lines; '#' starts a comment at the start of
+# a line or after whitespace, so a value may hold one ("a#b.csv")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
 _KINDS = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
 
 
@@ -170,7 +173,7 @@ def parse_config_file(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -380,15 +383,15 @@ def run_mi(cfg: ExperimentConfig) -> list[tuple]:
 
 def run_penalty(cfg: ExperimentConfig):
     """Closed-form penalty curves and the scalar penalty/SIR summary of the CSV footer."""
-    ctx = analysis.SinrContext(rolloff=cfg.rolloff, truncation_symbols=cfg.truncation)
-    curves = analysis.emit_penalty_curves(ctx)
+    pulse = cfg.pulse()
+    curves = analysis.emit_penalty_curves(pulse)
     avg_phase = analysis.avg_phase_penalty_db()
     pnc_sir = analysis.PNC_1D_SIR_DB
     summary = {
         "avg_phase_penalty_db": avg_phase,
         "worst_phase_penalty_db": analysis.phase_penalty_db(math.pi / 4),
-        "avg_sinr_penalty_db": analysis.avg_sinr_penalty_db(ctx),
-        "worst_sinr_penalty_db": analysis.worst_sinr_penalty_db(ctx),
+        "avg_sinr_penalty_db": analysis.avg_sinr_penalty_db(pulse),
+        "worst_sinr_penalty_db": analysis.worst_sinr_penalty_db(pulse),
         "sir_1d_traditional_db": analysis.sir_1d_traditional_db(4.0),
         "sir_1d_pnc_db": pnc_sir,
         "sir_1d_pnc_minus_avg_phase_db": pnc_sir + avg_phase,
@@ -400,11 +403,9 @@ def run_penalty(cfg: ExperimentConfig):
 
 def run_chain(cfg: ExperimentConfig) -> str:
     """Serialized synchronization plan for the configured chain."""
-    plan = chain.make_plan(cfg.chain_config(), halved_sync=cfg.chain_halved)
-    text = chain.serialize_plan(plan)
+    text = chain.serialize_plan(*chain.make_plan(cfg.chain_config(), halved_sync=cfg.chain_halved))
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_lines(cfg.output_path, text.splitlines())
     return text
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pncsync import analysis
-from pncsync.analysis import SinrContext
 from pncsync.detection import build_hypotheses
 from pncsync.harness import (
     ExperimentConfig,
@@ -24,7 +23,7 @@ from pncsync.harness import (
 )
 from pncsync.impairments import PulseShape
 from pncsync.mapping import CLASS_BITS, S1, S3
-from pncsync.chain import ChainConfig, make_plan, partition_groups, serialize_plan
+from pncsync.chain import ChainConfig, make_plan, serialize_plan
 from scipy.special import erfc
 
 from oracles import (cluster_z_score, horizontal_gap_db, max_horizontal_gap_db,
@@ -126,9 +125,9 @@ def test_criterion_04_traditional_1d_sir():
 
 def test_criterion_05_time_offset_penalty_reference_values():
     t0 = time.time()
-    ctx = SinrContext(snr0_db=10.0, rolloff=0.5, truncation_symbols=16)
-    worst = analysis.worst_sinr_penalty_db(ctx)
-    avg = analysis.avg_sinr_penalty_db(ctx)
+    pulse = PulseShape(rolloff=0.5, truncation_symbols=16)
+    worst = analysis.worst_sinr_penalty_db(pulse, snr0_db=10.0)
+    avg = analysis.avg_sinr_penalty_db(pulse, snr0_db=10.0)
     dt = time.time() - t0
     ok_worst = abs(worst - (-2.2)) <= 0.3
     ok_avg = abs(avg - (-1.57)) <= 0.1
@@ -266,7 +265,7 @@ def test_criterion_09_min_distance_cross_check():
     for theta in np.linspace(0.0, math.pi / 4, 100, endpoint=False):
         hyp = build_hypotheses((float(theta),))[0]
         brute = min_interclass_distance_sq(hyp)
-        closed = analysis.min_distance_sq(float(theta))
+        closed = 4 * 10 ** (analysis.phase_penalty_db(float(theta)) / 10)
         worst = max(worst, abs(brute - closed))
     ok = worst < 1e-9
     assert _report(9, ok, f"enumerated vs closed-form min distance, max |diff| = {worst:.2e}")
@@ -275,17 +274,17 @@ def test_criterion_09_min_distance_cross_check():
 def test_criterion_10_chain_arithmetic():
     ok = True
     for n in range(3, 201):
-        plan = make_plan(ChainConfig(n, 1.0, 1000.0, (0.1, 0.02, 0.001)))
-        ok &= plan.num_groups == (n - 1) // 2
-        ok &= plan.ts == (n - 2) * 1.0
-        ok &= plan.accumulated_errors == tuple(plan.num_groups * e
-                                               for e in (0.1, 0.02, 0.001))
+        _, plan = make_plan(ChainConfig(n, 1.0, 1000.0, (0.1, 0.02, 0.001)))
+        ok &= plan["num_groups"] == len(plan["groups"]) == (n - 1) // 2
+        ok &= plan["ts_s"] == (n - 2) * 1.0
+        ok &= plan["accumulated_errors"] == tuple(plan["num_groups"] * e
+                                                  for e in (0.1, 0.02, 0.001))
     for n in range(3, 51):
         # every relay detects under the local triple, whatever N
-        plan = make_plan(ChainConfig(n, 1.0, 1000.0, (0.1, 0.02, 0.001)))
-        ok &= plan.local_errors == (0.1, 0.02, 0.001)
-        ok &= "local_errors = (0.1, 0.02, 0.001)" in serialize_plan(plan).splitlines()
-    ok &= len(partition_groups(200)) == 99
+        rows, plan = make_plan(ChainConfig(n, 1.0, 1000.0, (0.1, 0.02, 0.001)))
+        ok &= plan["local_errors"] == (0.1, 0.02, 0.001)
+        ok &= "local_errors = (0.1, 0.02, 0.001)" in serialize_plan(rows, plan).splitlines()
+    ok &= len(make_plan(ChainConfig(200, 1.0, 1000.0, (0.1, 0.02, 0.001)))[1]["groups"]) == 99
     assert _report(10, ok, "M, ts, accumulated errors exact on N in [3,200]; "
                            "local errors independent of N, in the plan and its text (N <= 50)")
 

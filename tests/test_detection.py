@@ -229,7 +229,7 @@ def test_min_distance_matches_closed_form():
     for theta in np.linspace(0.0, math.pi / 4, 100, endpoint=False):
         hyp = hyp_at(float(theta))
         assert min_interclass_distance_sq(hyp) == pytest.approx(
-            analysis.min_distance_sq(float(theta)), abs=1e-9)
+            4 * 10 ** (analysis.phase_penalty_db(float(theta)) / 10), abs=1e-9)
 
 
 def test_ml_tie_breaks_lexicographically():

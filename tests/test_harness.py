@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 import shlex
@@ -121,16 +123,19 @@ def test_config_file_roundtrip(tmp_path):
         "# comment\n"
         "command = mi\n"
         "scenario = time_unsync\n"
-        "snr_grid_db = 0, 2, 4\n"
+        "snr_grid_db = 0, 2, 4  # note\n"
         "offset_range = 0.2\n"
         "samples_per_point = 5000\n"
         "master_seed = 99\n"
+        "  # indented comment\n"
+        "output_path = runs/a#b.csv\t# '#' after whitespace starts a comment\n"
         "workers = 2\n",
         encoding="utf-8")
     cfg = config_from_file(p)
     assert cfg.command == "mi"
     assert cfg.scenario == "time_unsync"
     assert cfg.snr_grid_db == (0.0, 2.0, 4.0)
+    assert cfg.output_path == "runs/a#b.csv"  # '#' inside a value is kept
     assert cfg.offset_range == 0.2
     assert cfg.master_seed == 99 and cfg.workers == 2
     # overrides win
@@ -489,6 +494,23 @@ def test_run_chain_matches_module_and_is_deterministic(tmp_path):
     cfg2 = ExperimentConfig(command="chain", chain_nodes=5, output_path=str(out))
     run_chain(cfg2)
     assert out.read_text().startswith("phase,step,group")
+
+
+def test_every_bench_chain_plan_keeps_its_bytes(tmp_path, capsys):
+    # every chain case of the closed_form benchmark reference, read-only: 24
+    # values of N from 3 to 1181, odd and even, each with and without --halved
+    ref = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference"
+                      / "closed_form.json").read_text(encoding="utf-8"))
+    cases = {case: c["sha256"] for case, c in ref["cases"].items() if case.startswith("chain ")}
+    assert len(cases) == 48
+    out = tmp_path / "plan.txt"
+    differ = []
+    for case, want in cases.items():
+        assert cli_main(case.split() + ["--seed", str(ref["seeds"][0]), "--out", str(out)]) == 0
+        if hashlib.sha256(out.read_bytes()).hexdigest() != want:
+            differ.append(case)
+    capsys.readouterr()
+    assert differ == []
 
 
 def test_run_chain_rejects_small_n():
